@@ -10,14 +10,18 @@ Three evaluation paths, selected per (n, x):
   derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) above a configurable
   crossover order.
 
+The diagonal tables J_n(n*eps) run the Miller recurrence as one lockstep
+vector kernel over all their orders at once (``_miller_diag_block``).
+
 The Debye expansion is asymptotic: its attainable accuracy at order n is
 limited by the smallest term of the correction series, which degrades as
 eps -> 1.  Where the expansion cannot reach the requested tolerance the
-batch table builder falls back to exact backward-recurrence anchors with
-Chebyshev interpolation along the diagonal n -> J_n(n*eps); scalar calls
-simply run the (slower) recurrence.  Either way the returned values carry
-a per-order relative error estimate so downstream series can report honest
-tail bounds.
+batch table builder recomputes the defective band exactly with the lockstep
+kernel while the band is short enough (up to about 20k orders), and beyond
+that falls back to exact backward-recurrence anchors with Chebyshev
+interpolation along the diagonal n -> J_n(n*eps); scalar calls simply run
+the (slower) recurrence.  Either way the returned values carry a per-order
+relative error estimate so downstream series can report honest tail bounds.
 """
 
 from __future__ import annotations
@@ -31,23 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonFinite, OrderTooLarge
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 __all__ = [
     "BesselConfig",
@@ -63,12 +50,14 @@ _RESCALE = 1e250
 _RESCALE_INV = 1e-250
 # Per-path relative error envelopes, validated against 50-digit oracles in the
 # test suite.  The Miller figure is dominated by recurrence roundoff over
-# ladders of a few thousand steps.
+# ladders of up to about 20k steps (the direct band at its cost ceiling).
 _MILLER_REL_ERR = 2e-13
 _SERIES_REL_ERR = 5e-16
 _INTERP_REL_ERR = 3e-12
 _DEBYE_FLOOR = 5e-15
 _DEBYE_TERMS = 16  # correction polynomials U_1..U_16 / V_1..V_16
+_DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch
+_LANE_STRIDE = 32  # Miller-block steps between updates of the advanced lanes
 
 
 @dataclass(frozen=True)
@@ -202,12 +191,28 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
     The correction series is summed adaptively: terms are added while they
     decrease in magnitude and the first non-decreasing term is taken as the
     error estimate (standard practice for asymptotic series).
+
+    The orders are evaluated in chunks of ``_DEBYE_CHUNK``, so the temporaries
+    stay bounded however many orders are asked for.  Every step is
+    elementwise, so the chunking does not change any value.
     """
     s, lng_hi, lng_lo, t = _eps_geometry(eps)
     u_vals = np.array([_poly_eval(p, t) for p in _U_POLYS])
     v_vals = np.array([_poly_eval(p, t) for p in _V_POLYS])
+    if len(n_arr) <= _DEBYE_CHUNK:  # one chunk: no copy into separate outputs
+        return _debye_chunk(n_arr.astype(np.float64), eps, s, lng_hi, lng_lo, u_vals, v_vals)
+    out = tuple(np.empty(len(n_arr)) for _ in range(4))
+    for lo in range(0, len(n_arr), _DEBYE_CHUNK):
+        sl = slice(lo, lo + _DEBYE_CHUNK)
+        vals = _debye_chunk(n_arr[sl].astype(np.float64), eps, s, lng_hi, lng_lo, u_vals, v_vals)
+        for dst, src in zip(out, vals):
+            dst[sl] = src
+    return out
 
-    n = n_arr.astype(np.float64)
+
+def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
+    """One chunk of ``_debye_batch``: float orders n, with the geometry of eps
+    and the U_k, V_k values at t already evaluated."""
     inv_n = 1.0 / n
     shape = n.shape
 
@@ -353,8 +358,17 @@ def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
 
     One backward recurrence per element, run in lockstep as vector ops: the
     ladder index k sweeps down once, and element n is seeded when k passes
-    n + margin.  Requires n_lo*eps > 2 (smaller arguments belong to the
-    series path).
+    n + margin.  Elements are seeded in order of decreasing n, so the seeded
+    ones are always a suffix of the vector.  Only that suffix is advanced,
+    in place, through views renewed every ``_LANE_STRIDE`` steps that also
+    take in the elements seeded before the next renewal; elements not yet
+    seeded hold zeros, which the recurrence keeps at zero.  Each
+    element's arithmetic is independent of the others, so its value does not
+    depend on n_lo or n_hi.
+
+    Orders with n*eps <= 2 belong to the series path.  The overflow check
+    runs every 8 steps, which leaves room for a growth of 2k/x per step up to
+    about 1e7: eps above 2e-6 at any order.
     """
     width = n_hi - n_lo + 1
     n_arr = np.arange(n_lo, n_hi + 1, dtype=np.float64)
@@ -364,8 +378,11 @@ def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
 
     jk = np.zeros(width)
     jk1 = np.zeros(width)
+    nxt = np.zeros(width)  # J_{k-1}, before it rotates into jk
     norm = np.zeros(width)
     comp = np.zeros(width)  # Kahan compensation for the normalization sum
+    y = np.zeros(width)  # Kahan scratch
+    t = np.zeros(width)  # Kahan scratch, rotates with norm
     c_lo = np.zeros(width)  # J_{n-1}
     c_mid = np.zeros(width)  # J_n
     c_hi = np.zeros(width)  # J_{n+1}
@@ -376,6 +393,11 @@ def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
         if 0 <= i < width:
             jk[i] = 1e-30
             jk1[i] = 0.0
+        if (m_top - k) % _LANE_STRIDE == 0:
+            # views over the lanes seeded so far and in the next steps
+            live = slice(max(0, i - _LANE_STRIDE + 1), width)
+            jk_v, jk1_v, nxt_v, norm_v, t_v, comp_v, y_v, inv_x_v = (
+                a[live] for a in (jk, jk1, nxt, norm, t, comp, y, inv_x))
         i = k + 1 - n_lo  # element with n - 1 == k
         if 0 <= i < width:
             c_lo[i] = jk[i]
@@ -386,23 +408,25 @@ def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
         if 0 <= i < width:
             c_hi[i] = jk[i]
         if k % 2 == 0:
-            y = 2.0 * jk - comp
-            t = norm + y
-            comp = (t - norm) - y
-            norm = t
-        jkm1 = (2.0 * k) * inv_x * jk - jk1
-        jk1 = jk
-        jk = jkm1
+            # y = 2 jk - comp;  t = norm + y;  comp = (t - norm) - y;  norm = t
+            np.multiply(jk_v, 2.0, out=y_v)
+            np.subtract(y_v, comp_v, out=y_v)
+            np.add(norm_v, y_v, out=t_v)
+            np.subtract(t_v, norm_v, out=comp_v)
+            np.subtract(comp_v, y_v, out=comp_v)
+            norm, t = t, norm
+            norm_v, t_v = t_v, norm_v
+        # J_{k-1} = (2k/x) J_k - J_{k+1}
+        np.multiply(inv_x_v, 2.0 * k, out=nxt_v)
+        np.multiply(nxt_v, jk_v, out=nxt_v)
+        np.subtract(nxt_v, jk1_v, out=nxt_v)
+        jk1, jk, nxt = jk, nxt, jk1
+        jk1_v, jk_v, nxt_v = jk_v, nxt_v, jk1_v
         if k % 8 == 0:
-            big = np.abs(jk) > _RESCALE
+            big = np.abs(jk_v) > _RESCALE
             if big.any():
-                jk[big] *= _RESCALE_INV
-                jk1[big] *= _RESCALE_INV
-                norm[big] *= _RESCALE_INV
-                comp[big] *= _RESCALE_INV
-                c_lo[big] *= _RESCALE_INV
-                c_mid[big] *= _RESCALE_INV
-                c_hi[big] *= _RESCALE_INV
+                for arr in (jk, jk1, norm, comp, c_lo, c_mid, c_hi):
+                    arr[live][big] *= _RESCALE_INV
     if n_lo == 1:
         c_lo[0] = jk[0]  # J_0 for the n = 1 element
     norm = norm + (jk - comp)
@@ -411,8 +435,41 @@ def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
     return j, jp
 
 
-@njit(cache=True)
-def _ladder3(x: float, n: int, m: int):  # pragma: no cover - exercised via wrappers
+def _split26(v):
+    """Dekker split of v into two halves of at most 26 significant bits."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _shift_to_exact_x(eps: float, n_lo: int, j: np.ndarray, jp: np.ndarray):
+    """Move Miller-block values from the argument the block used to n*eps.
+
+    The block's recurrence coefficient is 2k * fl(1 / fl(n*eps)), so it
+    computes J and J' at x' = 1 / fl(1 / fl(n*eps)), up to two roundings away
+    from n*eps.  Along the diagonal d ln J / d ln x is about n*s, so this costs
+    up to ~2.2e-16 * n*s of relative accuracy.  In the direct band n*s reaches
+    about 2500, and the block alone is up to 4.6e-13 off, past the Miller
+    envelope; shifted, it stays within 1.4e-13.  x - x' is formed from
+    error-free products, and J, J' are moved by one Taylor step each, with
+    J'' from Bessel's equation.
+    """
+    n = np.arange(n_lo, n_lo + len(j), dtype=np.float64)
+    inv_x = 1.0 / (n * eps)  # as in _miller_diag_block
+    # n*eps*inv_x - 1 = (x - x') / x': n*e1 is exact, and the rounding of
+    # p = n*e1*inv_x is recovered by Dekker's product
+    e1 = math.ldexp(round(math.ldexp(eps, 26)), -26)
+    a = n * e1
+    p = a * inv_x
+    a_hi, a_lo = _split26(a)
+    b_hi, b_lo = _split26(inv_x)
+    p_err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    dx = ((p - 1.0) + p_err + n * (eps - e1) * inv_x) / inv_x
+    jpp = -jp * inv_x - (1.0 - (n * inv_x) ** 2) * j
+    return j + dx * jp, jp + dx * jpp
+
+
+def _ladder3(x: float, n: int, m: int):
     """One backward recurrence from order m; returns unnormalized-free
     (J_{n-1}, J_n, J_{n+1}) at argument x."""
     jk1 = 0.0
@@ -542,8 +599,10 @@ class DiagonalTable:
     rel_jp: np.ndarray
 
 
-# Cost ceiling (recurrence steps) below which a defective Debye band is
-# recomputed order by order instead of through the interpolant.
+# Cost ceiling on the direct band: a defective Debye band b_lo..b_hi is
+# recomputed exactly by the Miller block when its lockstep lane-steps, about
+# (b_hi^2 - b_lo^2)/2, stay below it (b_hi up to about 20k orders from
+# b_lo = 2001), and goes through the anchored interpolant otherwise.
 _DIRECT_BAND_OPS = int(2e8)
 # Ceiling on the anchored-interpolation range; beyond it (eps extremely close
 # to 1) Debye values are kept with their large error estimates, which the
@@ -574,15 +633,15 @@ def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> Diagona
 
     if n_max > n_miller_hi:
         n_arr = np.arange(n_miller_hi + 1, n_max + 1, dtype=np.int64)
-        jd, jpd, rd, rdp = _debye_batch(n_arr, eps)
         sl = slice(n_miller_hi, n_max)
-        j[sl] = jd
-        jp[sl] = jpd
-        rel_j[sl] = np.maximum(rd, 1e-16)
-        rel_jp[sl] = np.maximum(rdp, 1e-16)
+        # copied straight into the table, so that no full-width Debye result
+        # is still held while the band below is computed
+        j[sl], jp[sl], rel_j[sl], rel_jp[sl] = _debye_batch(n_arr, eps)
+        np.maximum(rel_j[sl], 1e-16, out=rel_j[sl])
+        np.maximum(rel_jp[sl], 1e-16, out=rel_jp[sl])
 
         target = max(cfg.rel_tol, 2e-14)
-        bad = np.maximum(rd, rdp) > target
+        bad = np.maximum(rel_j[sl], rel_jp[sl]) > target
         if bad.any():
             # the Debye error decreases with n, so the defective band is a prefix
             cut = int(np.nonzero(bad)[0][-1]) + 1
@@ -591,9 +650,7 @@ def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> Diagona
                 band = n_arr[:cut]
                 b_lo, b_hi = int(band[0]), int(band[-1])
                 if (b_hi * b_hi - b_lo * b_lo) // 2 <= _DIRECT_BAND_OPS:
-                    vals = [_diag_point(eps, int(n)) for n in band]
-                    jb = np.array([v[0] for v in vals])
-                    jpb = np.array([v[1] for v in vals])
+                    jb, jpb = _shift_to_exact_x(eps, b_lo, *_miller_diag_block(eps, b_lo, b_hi))
                     band_err = _MILLER_REL_ERR
                 else:
                     jb, jpb = _interp_band(eps, band, b_lo, b_hi)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -227,6 +228,42 @@ class TestDiagonalTable:
             refp = jn_prime(n, n * eps, dps=35)
             assert rel_err(tab.j[n - 1], ref) <= 3e-12
             assert rel_err(tab.jp[n - 1], refp) <= 3e-12
+
+    @pytest.mark.parametrize("eps,n_max,band_hi,extra", [
+        (0.99, 8192, 8192, ()),
+        # band near the largest the direct-band cost ceiling allows; at 17798
+        # the block's values before the shift to the exact argument are 4.6e-13 off
+        (1.0 / math.sqrt(1.02), 32768, 17937, (17798,)),
+    ])
+    def test_direct_band_against_oracle(self, eps, n_max, band_hi, extra):
+        tab = bessel.diagonal_table(eps, n_max)
+        band = slice(2000, band_hi)
+        assert np.all(tab.rel_j[band] == bessel._MILLER_REL_ERR)
+        assert np.all(tab.rel_jp[band] == bessel._MILLER_REL_ERR)
+        if band_hi < n_max:
+            assert tab.rel_j[band_hi] < bessel._MILLER_REL_ERR  # Debye takes over
+        for n in (2001, (2001 + band_hi) // 2, band_hi) + extra:
+            # the table's argument is n*eps exactly, not n*eps rounded to a double
+            with mp.workdps(40):
+                x = mp.mpf(n) * mp.mpf(eps)
+            assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+            assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+
+    def test_miller_block_lanes_are_independent(self):
+        # an order's value does not depend on the range it is computed with,
+        # so the Miller region and the direct band share one kernel unchanged
+        j, jp = bessel._miller_diag_block(0.97, 3, 2400)
+        js, jps = bessel._miller_diag_block(0.97, 1990, 2010)
+        assert np.array_equal(j[1987:2008], js)
+        assert np.array_equal(jp[1987:2008], jps)
+
+    def test_debye_batch_chunking_changes_no_bit(self, monkeypatch):
+        n_arr = np.arange(2001, 2301, dtype=np.int64)
+        whole = bessel._debye_batch(n_arr, 0.97)
+        monkeypatch.setattr(bessel, "_DEBYE_CHUNK", 64)
+        chunked = bessel._debye_batch(n_arr, 0.97)
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
 
     def test_error_estimates_are_claimed(self):
         tab = bessel.diagonal_table(0.9535, 8192)
