@@ -15,13 +15,17 @@ vector kernel over all their orders at once (``_miller_diag_block``).
 
 The Debye expansion is asymptotic: its attainable accuracy at order n is
 limited by the smallest term of the correction series, which degrades as
-eps -> 1.  Where the expansion cannot reach the requested tolerance the
-batch table builder recomputes the defective band exactly with the lockstep
-kernel while the band is short enough (up to about 20k orders), and beyond
-that falls back to exact backward-recurrence anchors with Chebyshev
-interpolation along the diagonal n -> J_n(n*eps); scalar calls simply run
-the (slower) recurrence.  Either way the returned values carry a per-order
-relative error estimate so downstream series can report honest tail bounds.
+eps -> 1.  At a fixed argument it improves quickly with the order, so a
+single order n that Debye cannot serve is seeded by Debye a few hundred
+orders higher and carried down by a short backward recurrence
+(``_diag_point``, whose cost does not grow with n).  Where the expansion
+cannot reach the requested tolerance the batch table builder recomputes the
+defective band with the lockstep kernel while the band is short enough (up
+to about 20k orders), and beyond that interpolates along the diagonal
+n -> J_n(n*eps) with a Chebyshev fit anchored on ``_diag_point`` values;
+scalar calls use ``_diag_point`` directly.  Either way the returned values
+carry a per-order relative error estimate so downstream series can report
+honest tail bounds.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ _SERIES_REL_ERR = 5e-16
 _INTERP_REL_ERR = 3e-12
 _DEBYE_FLOOR = 5e-15
 _DEBYE_TERMS = 16  # correction polynomials U_1..U_16 / V_1..V_16
-_DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch
+_DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch and the interpolant
 _LANE_STRIDE = 32  # Miller-block steps between updates of the advanced lanes
 
 
@@ -159,9 +163,13 @@ def _eps_geometry(eps: float):
     relative accuracy at large n.  Computing it with stdlib decimal at 40
     digits and keeping a two-double split removes that floor.
     """
+    return _decimal_geometry(decimal.Decimal(eps))
+
+
+def _decimal_geometry(e: decimal.Decimal):
+    """``_eps_geometry`` for eps given as a Decimal, which need not be a double."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        e = decimal.Decimal(eps)
         s_d = ((1 - e) * (1 + e)).sqrt()
         ln_g_d = e.ln() + s_d - (1 + s_d).ln()
     hi = float(ln_g_d)
@@ -197,8 +205,7 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
     elementwise, so the chunking does not change any value.
     """
     s, lng_hi, lng_lo, t = _eps_geometry(eps)
-    u_vals = np.array([_poly_eval(p, t) for p in _U_POLYS])
-    v_vals = np.array([_poly_eval(p, t) for p in _V_POLYS])
+    u_vals, v_vals = _debye_poly_values(t)
     if len(n_arr) <= _DEBYE_CHUNK:  # one chunk: no copy into separate outputs
         return _debye_chunk(n_arr.astype(np.float64), eps, s, lng_hi, lng_lo, u_vals, v_vals)
     out = tuple(np.empty(len(n_arr)) for _ in range(4))
@@ -208,6 +215,12 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
         for dst, src in zip(out, vals):
             dst[sl] = src
     return out
+
+
+def _debye_poly_values(t: float):
+    """U_k(t) and V_k(t), k = 0.._DEBYE_TERMS."""
+    return (np.array([_poly_eval(p, t) for p in _U_POLYS]),
+            np.array([_poly_eval(p, t) for p in _V_POLYS]))
 
 
 def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
@@ -443,16 +456,17 @@ def _split26(v):
 
 
 def _shift_to_exact_x(eps: float, n_lo: int, j: np.ndarray, jp: np.ndarray):
-    """Move Miller-block values from the argument the block used to n*eps.
+    """Move recurrence values for orders n_lo, n_lo + 1, ... to x = n*eps.
 
-    The block's recurrence coefficient is 2k * fl(1 / fl(n*eps)), so it
-    computes J and J' at x' = 1 / fl(1 / fl(n*eps)), up to two roundings away
-    from n*eps.  Along the diagonal d ln J / d ln x is about n*s, so this costs
-    up to ~2.2e-16 * n*s of relative accuracy.  In the direct band n*s reaches
-    about 2500, and the block alone is up to 4.6e-13 off, past the Miller
-    envelope; shifted, it stays within 1.4e-13.  x - x' is formed from
-    error-free products, and J, J' are moved by one Taylor step each, with
-    J'' from Bessel's equation.
+    The recurrences (the Miller block and ``_diag_point``) use the coefficient
+    2k * fl(1 / fl(n*eps)), so they compute J and J' at
+    x' = 1 / fl(1 / fl(n*eps)), up to two roundings away from n*eps.  Along
+    the diagonal d ln J / d ln x is about n*s, so this costs up to
+    ~2.2e-16 * n*s of relative accuracy: past the Miller envelope already in
+    the Miller region at eps = 0.6 (2.2e-13 at n = 1889) and in the direct
+    band (4.6e-13), and 1e-12 at an anchor at n = 400000, eps = 0.9995.
+    x - x' is formed from error-free products, and J, J' are moved by one
+    Taylor step each, with J'' from Bessel's equation.
     """
     n = np.arange(n_lo, n_lo + len(j), dtype=np.float64)
     inv_x = 1.0 / (n * eps)  # as in _miller_diag_block
@@ -469,53 +483,68 @@ def _shift_to_exact_x(eps: float, n_lo: int, j: np.ndarray, jp: np.ndarray):
     return j + dx * jp, jp + dx * jpp
 
 
-def _ladder3(x: float, n: int, m: int):
-    """One backward recurrence from order m; returns unnormalized-free
-    (J_{n-1}, J_n, J_{n+1}) at argument x."""
-    jk1 = 0.0
-    jk = 1e-30
-    norm = 0.0
-    comp = 0.0
-    c_lo = 0.0
-    c_mid = 0.0
-    c_hi = 0.0
-    k = m
-    while k > 0:
-        if k == n - 1:
-            c_lo = jk
-        elif k == n:
-            c_mid = jk
-        elif k == n + 1:
-            c_hi = jk
-        if k % 2 == 0:
-            y = 2.0 * jk - comp
-            t = norm + y
-            comp = (t - norm) - y
-            norm = t
-        jkm1 = (2.0 * k / x) * jk - jk1
-        jk1 = jk
-        jk = jkm1
-        if abs(jk) > 1e250:
-            jk *= 1e-250
-            jk1 *= 1e-250
-            norm *= 1e-250
-            comp *= 1e-250
-            c_lo *= 1e-250
-            c_mid *= 1e-250
-            c_hi *= 1e-250
-        k -= 1
-    if n == 1:
-        c_lo = jk
-    norm = norm + (jk - comp)
-    return c_lo / norm, c_mid / norm, c_hi / norm
+# Debye's own error estimate the seed of ``_diag_point`` must meet, and the
+# size of its expansion parameter, m*(1 - (x/m)^2)^(3/2), to try first.
+_SEED_REL_ERR = 1e-14
+_SEED_Z = 80.0
+
+
+def _debye_seed(inv_x: float, n: int):
+    """(m, J_m(x), J_m'(x)) at x = 1/inv_x by Debye, for an order m > n.
+
+    At fixed x the expansion improves quickly with the order: its parameter
+    m*(1 - (x/m)^2)^(3/2) grows with m.  m - n starts at the smallest value
+    that puts the parameter at ``_SEED_Z`` and doubles until the expansion's
+    own estimate meets ``_SEED_REL_ERR``.  The eccentricity x/m is formed in
+    40-digit decimal, since a double x/m would cost up to m*s*1.1e-16 of
+    relative accuracy through the exponent m*ln g.
+    """
+    x = 1.0 / inv_x
+
+    def short(step):
+        m = n + step
+        return m * (1.0 - (x / m) ** 2) ** 1.5 < _SEED_Z
+
+    lo, step = 0, 1
+    while short(step):
+        lo, step = step, 2 * step
+    while step - lo > 1:  # smallest step that is not short
+        mid = (lo + step) // 2
+        if short(mid):
+            lo = mid
+        else:
+            step = mid
+    while True:
+        m = n + step
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            e = 1 / (decimal.Decimal(inv_x) * m)
+        s, lng_hi, lng_lo, t = _decimal_geometry(e)
+        j, jp, rel_j, rel_jp = _debye_chunk(
+            np.array([float(m)]), float(e), s, lng_hi, lng_lo, *_debye_poly_values(t))
+        if max(rel_j[0], rel_jp[0]) <= _SEED_REL_ERR:
+            return m, float(j[0]), float(jp[0])
+        step *= 2
 
 
 def _diag_point(eps: float, n: int):
-    """(J_n(n eps), J_n'(n eps)) by backward recurrence, any order."""
-    x = n * eps
-    m = n + _order_margin(eps)
-    lo, mid, hi = _ladder3(x, n, m)
-    return mid, 0.5 * (lo - hi)
+    """(J_n(n eps), J_n'(n eps)) for one order n where n*eps > 2.
+
+    Debye seeds J_m and J_{m+1} at an order m a few hundred above n (see
+    ``_debye_seed``), and J_{k-1} = (2k/x) J_k - J_{k+1} carries them down
+    to n.  Above the turning point this direction is stable for J, and the
+    seeds are absolute values, so no normalization sum is needed: the cost
+    does not grow with n.  Like the Miller block, the ladder runs at
+    x' = 1 / fl(1 / fl(n*eps)), and the result is moved to n*eps by
+    ``_shift_to_exact_x``.
+    """
+    inv_x = 1.0 / (n * eps)
+    m, j_m, jp_m = _debye_seed(inv_x, n)
+    j_hi, j_mid = m * inv_x * j_m - jp_m, j_m  # J_{k+1}, J_k at k = m
+    for k in range(m, n, -1):
+        j_hi, j_mid = j_mid, 2.0 * k * inv_x * j_mid - j_hi
+    j, jp = _shift_to_exact_x(eps, n, np.array([j_mid]), np.array([n * inv_x * j_mid - j_hi]))
+    return float(j[0]), float(jp[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +566,10 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
         d(n)  = J_n(n eps) * exp(-n ln g) * sqrt(2 pi n s)
         dp(n) = J_n'(n eps) * exp(-n ln g) * sqrt(2 pi n / s) * eps
 
-    anchored on exact backward-recurrence values.  Both functions tend to 1
-    as n grows and are analytic in n, so a modest node count reaches the
-    double-precision plateau.
+    anchored on ``_diag_point`` values, each a Debye seed a few hundred
+    orders up carried down by a short backward recurrence.  Both functions
+    tend to 1 as n grows and are analytic in n, so a modest node count
+    reaches the double-precision plateau.
     """
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
     span = math.log(n_hi) - math.log(n_lo)
@@ -570,16 +600,23 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
 
 
 def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
-    """Evaluate the anchored interpolant on integer orders n_arr."""
+    """Evaluate the anchored interpolant on integer orders n_arr.
+
+    Like ``_debye_batch`` it works in chunks of ``_DEBYE_CHUNK`` orders:
+    chebval's temporaries then stay in cache, which makes it several times
+    faster on long bands, and every step is elementwise, so no value changes.
+    """
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
     a, b, coef_d, coef_dp = _diag_interpolant(eps, n_lo, n_hi)
-    n = n_arr.astype(np.float64)
-    xm = (2.0 * np.log(n) - (a + b)) / (b - a)
-    d = np.polynomial.chebyshev.chebval(xm, coef_d)
-    dp = np.polynomial.chebyshev.chebval(xm, coef_dp)
-    pref = _exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * n))
-    j = d * pref / math.sqrt(s)
-    jp = dp * pref * math.sqrt(s) / eps
+    j = np.empty(len(n_arr))
+    jp = np.empty(len(n_arr))
+    for lo in range(0, len(n_arr), _DEBYE_CHUNK):
+        sl = slice(lo, lo + _DEBYE_CHUNK)
+        n = n_arr[sl].astype(np.float64)
+        xm = (2.0 * np.log(n) - (a + b)) / (b - a)
+        pref = _exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * n))
+        j[sl] = np.polynomial.chebyshev.chebval(xm, coef_d) * pref / math.sqrt(s)
+        jp[sl] = np.polynomial.chebyshev.chebval(xm, coef_dp) * pref * math.sqrt(s) / eps
     return j, jp
 
 
@@ -625,7 +662,8 @@ def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> Diagona
 
     n_miller_hi = min(n_max, cfg.crossover_order)
     if n_miller_hi > n_series:
-        jm, jpm = _miller_diag_block(eps, n_series + 1, n_miller_hi)
+        jm, jpm = _shift_to_exact_x(eps, n_series + 1,
+                                    *_miller_diag_block(eps, n_series + 1, n_miller_hi))
         j[n_series:n_miller_hi] = jm
         jp[n_series:n_miller_hi] = jpm
         rel_j[n_series:n_miller_hi] = _MILLER_REL_ERR
@@ -750,8 +788,8 @@ def kapteyn_coeff(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG)
         jv, _, rel, _ = _debye_scalar(n, eps)
         if rel <= max(cfg.rel_tol, 2e-14):
             return jv
-        # asymptotics cannot reach tolerance this close to eps = 1: fall back
-        # to the exact ladder (O(n), acceptable for scalar calls)
+        # asymptotics cannot reach tolerance at this order this close to
+        # eps = 1: seed higher up and recur down
         jv, _ = _diag_point(eps, n)
         return jv
     return _miller_scalar(x, (n,))[n]

@@ -64,8 +64,9 @@ class SolveReport:
     is raw (the equation is O(1)), the C1/C2 equation residuals are normalized
     by max(|F1|, |F2|) since those grow like D^-2 for small D.  ``converged``
     requires both the root residual tolerance and truncation convergence of
-    every series evaluation involved; ``diagnostics`` carries the reasons when
-    it is False.
+    every F the root iteration evaluates and of F, F1 and F2 at the root (the
+    F1 that steers a Newton step is not among them: the bracket guards the
+    step); ``diagnostics`` carries the reasons when it is False.
     """
 
     C_numeric: float
@@ -181,8 +182,9 @@ def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
         width = hi - lo
         if width <= 4.0 * np.finfo(float).eps * c_cur:
             break
+        # F1 only steers a step the bracket guards, so a capped F1 does not
+        # make the root unconverged
         sv1 = eval_F1(c_cur, ecc, trunc, bcfg)
-        series_ok &= sv1.converged
         hp = k * sv1.value / c_cur
         c_next = c_cur - h / hp if hp != 0.0 else 0.5 * (lo + hi)
         if not (lo < c_next < hi) or abs(c_next - c_cur) > 0.5 * width:

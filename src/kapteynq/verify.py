@@ -131,8 +131,9 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
         tight = TruncationConfig(abs_tol=1e-5, max_terms=4_000_000,
                                  safety_margin=trunc.safety_margin)
         p = Problem(D=d, a=a)
-        c_root = closed_C(d)  # the exact root; numeric bracketing is also
-        # exercised at this D by the CLI tests, but C1/C2 only need the root
+        c_root = closed_C(d)  # the exact root: C1/C2 only need the root, and
+        # the numeric root solve at small D is tested in
+        # tests/test_solver.py::TestSolveC::test_small_d_converges
         c1 = solve_C1_numeric(p, c_root, tight, bcfg)
         c2 = solve_C2_numeric(p, c_root, c1, tight, bcfg)
         err_c1 = abs(c1 - approx.c1_small_d)

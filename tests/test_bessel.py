@@ -19,6 +19,13 @@ from kapteynq.errors import NonFinite, OrderTooLarge
 
 from _oracles import jn, jn_prime, rel_err
 
+
+def exact_x(n, eps):
+    """n*eps without rounding to a double: the argument the tables serve."""
+    with mp.workdps(40):
+        return mp.mpf(n) * mp.mpf(eps)
+
+
 # frozen 50-digit oracle values (ascending power series / backward recurrence)
 J1_HALF = 0.242268457674873886384  # J_1(0.5)
 J0_ONE = 0.7651976865579665514497  # J_0(1.0)
@@ -144,10 +151,31 @@ class TestAgainstOracle:
 
     def test_gap_band_scalar_fallback(self):
         # eps close to 1 at an order where the Debye estimate is too weak:
-        # the scalar path must fall back to the exact ladder
+        # the scalar path must fall back to _diag_point
         n, eps = 30_000, 0.9995
-        assert rel_err(kapteyn_coeff(n, eps), jn(n, n * eps)) <= 1e-12
-        assert rel_err(kapteyn_coeff_prime(n, eps), jn_prime(n, n * eps)) <= 1e-12
+        x = exact_x(n, eps)
+        assert rel_err(kapteyn_coeff(n, eps), jn(n, x)) <= 1e-12
+        assert rel_err(kapteyn_coeff_prime(n, eps), jn_prime(n, x)) <= 1e-12
+
+    @pytest.mark.parametrize("eps,n", [
+        # at 32036 and 10641, fl(n*eps) is far enough from n*eps that the
+        # anchor without the shift to the exact argument is 1.5e-13 to 2e-13 off
+        (0.9995, 2001), (0.9995, 32036),
+        (1.0 / math.sqrt(1.01), 2001), (1.0 / math.sqrt(1.01), 10641),
+    ])
+    def test_diag_point_against_oracle(self, eps, n):
+        j, jp = bessel._diag_point(eps, n)
+        x = exact_x(n, eps)
+        assert rel_err(j, jn(n, x, dps=35)) <= 1e-13
+        assert rel_err(jp, jn_prime(n, x, dps=35)) <= 1e-13
+
+    def test_diag_point_seed_order_is_bounded(self):
+        # the anchor's ladder stays short however high the order: the cost
+        # of an anchor does not grow with n
+        eps = 0.9995
+        for n in map(int, np.unique(np.geomspace(2001, 1_600_000, 40).astype(np.int64))):
+            m, _, _ = bessel._debye_seed(1.0 / (n * eps), n)
+            assert n < m <= n + 1024
 
 
 class TestSymmetry:
@@ -224,8 +252,9 @@ class TestDiagonalTable:
         eps = 0.9995
         tab = bessel.diagonal_table(eps, 1 << 17)  # 131072 orders, inside the gap band
         for n in (2345, 17777, 60001):
-            ref = jn(n, n * eps, dps=35)
-            refp = jn_prime(n, n * eps, dps=35)
+            x = exact_x(n, eps)
+            ref = jn(n, x, dps=35)
+            refp = jn_prime(n, x, dps=35)
             assert rel_err(tab.j[n - 1], ref) <= 3e-12
             assert rel_err(tab.jp[n - 1], refp) <= 3e-12
 
@@ -243,11 +272,17 @@ class TestDiagonalTable:
         if band_hi < n_max:
             assert tab.rel_j[band_hi] < bessel._MILLER_REL_ERR  # Debye takes over
         for n in (2001, (2001 + band_hi) // 2, band_hi) + extra:
-            # the table's argument is n*eps exactly, not n*eps rounded to a double
-            with mp.workdps(40):
-                x = mp.mpf(n) * mp.mpf(eps)
+            x = exact_x(n, eps)
             assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= bessel._MILLER_REL_ERR
             assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+
+    def test_miller_region_against_oracle(self):
+        # before the shift to the exact argument n*eps, 2.2e-13 off here
+        n, eps = 1889, 0.6
+        tab = bessel.diagonal_table(eps, 2000)
+        x = exact_x(n, eps)
+        assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+        assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= bessel._MILLER_REL_ERR
 
     def test_miller_block_lanes_are_independent(self):
         # an order's value does not depend on the range it is computed with,
@@ -262,6 +297,14 @@ class TestDiagonalTable:
         whole = bessel._debye_batch(n_arr, 0.97)
         monkeypatch.setattr(bessel, "_DEBYE_CHUNK", 64)
         chunked = bessel._debye_batch(n_arr, 0.97)
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+
+    def test_interp_band_chunking_changes_no_bit(self, monkeypatch):
+        n_arr = np.arange(2001, 3001, dtype=np.int64)
+        whole = bessel._interp_band(0.99, n_arr, 2001, 3000)
+        monkeypatch.setattr(bessel, "_DEBYE_CHUNK", 64)
+        chunked = bessel._interp_band(0.99, n_arr, 2001, 3000)
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
 

@@ -58,6 +58,14 @@ class TestSolveC:
         est = abs(diag["residual"]) / 4.0 + 1e-11
         assert abs(c_a - c_b) <= est
 
+    def test_small_d_converges(self):
+        # near eps = 1 the F1 that steers a Newton step can hit the term cap;
+        # the bracket guards that step, so the root is still converged
+        d = 0.01
+        rep = solve_problem(Problem(D=d, a=1.0))
+        assert rep.converged
+        assert abs(rep.C_numeric - closed_C(d)) <= 1e-10 * closed_C(d)
+
     def test_unconverged_flagged(self):
         trunc = TruncationConfig(abs_tol=1e-12, max_terms=120)
         c, diag = solve_C_numeric(Problem(D=1.0, a=1.0), trunc)
