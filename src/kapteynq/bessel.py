@@ -18,20 +18,27 @@ limited by the smallest term of the correction series, which degrades as
 eps -> 1.  At a fixed argument it improves quickly with the order, so a
 single order n that Debye cannot serve is seeded by Debye a few hundred
 orders higher and carried down by a short backward recurrence
-(``_diag_point``, whose cost does not grow with n).  Where the expansion
-cannot reach the requested tolerance the batch table builder recomputes the
-defective band with the lockstep kernel while the band is short enough (up
-to about 20k orders), and beyond that interpolates along the diagonal
-n -> J_n(n*eps) with a Chebyshev fit anchored on ``_diag_point`` values;
-scalar calls use ``_diag_point`` directly.  Either way the returned values
-carry a per-order relative error estimate so downstream series can report
-honest tail bounds.
+(``_diag_point``, whose cost does not grow with n).  The orders above the
+crossover where the expansion cannot reach the requested tolerance form a
+band crossover+1..b_hi that eps alone decides (``_band_hi``).  The table
+builder computes the band with the lockstep kernel while the whole band is
+short enough (up to about 20k orders), and beyond that interpolates along
+the diagonal n -> J_n(n*eps) with a Chebyshev fit anchored on ``_diag_point``
+values, fitted once per band; scalar calls use ``_diag_point`` directly.
+Either way the returned values carry a per-order relative error estimate so
+downstream series can report honest tail bounds.
+
+Every path is elementwise in n, so a table value depends on (eps, n, config)
+only.  Tables grow by extension: a larger table at the same eps copies the
+largest one still alive and computes only the new orders, and a smaller one
+is a read-only view of it, so tables may share their buffers.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -483,6 +490,23 @@ def _shift_to_exact_x(eps: float, n_lo: int, j: np.ndarray, jp: np.ndarray):
     return j + dx * jp, jp + dx * jpp
 
 
+def _miller_diag_scalar(n: int, eps: float):
+    """(J_n(n eps), J_n'(n eps)) by ``_miller_scalar``, moved to the exact n*eps.
+
+    ``_miller_scalar`` runs at x = fl(n*eps), which costs up to ~1.1e-16 * n*s
+    of relative accuracy (1.2e-13 at eps = 0.6, n = 1889).  dx = n*eps - x is
+    formed exactly, and J, J' are moved by one Taylor step each, with J'' from
+    Bessel's equation, as ``_shift_to_exact_x`` does for the tables.
+    """
+    x = n * eps
+    vals = _miller_scalar(x, (n - 1, n, n + 1))
+    j = vals[n]
+    jp = 0.5 * (vals[n - 1] - vals[n + 1])
+    dx = float(Fraction(n) * Fraction(eps) - Fraction(x))
+    jpp = -jp / x - (1.0 - (n / x) ** 2) * j
+    return j + dx * jp, jp + dx * jpp
+
+
 # Debye's own error estimate the seed of ``_diag_point`` must meet, and the
 # size of its expansion parameter, m*(1 - (x/m)^2)^(3/2), to try first.
 _SEED_REL_ERR = 1e-14
@@ -560,6 +584,7 @@ def _chebyshev_nodes(n_lo: int, n_hi: int, count: int) -> np.ndarray:
     return nodes
 
 
+@lru_cache(maxsize=8)
 def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
     """Chebyshev fit (in ln n) of the slowly varying normalized diagonals
 
@@ -626,7 +651,13 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
 
 @dataclass(frozen=True)
 class DiagonalTable:
-    """J_n(n*eps), J_n'(n*eps) for n = 1..n_max with relative error estimates."""
+    """J_n(n*eps), J_n'(n*eps) for n = 1..n_max with relative error estimates.
+
+    The arrays are read-only.  A value depends on (eps, n, config) only, never
+    on n_max, so a table is a prefix of any larger table at the same eps and
+    config; tables at one eps may share their buffers (a smaller table is a
+    view of a larger one, see ``_diagonal_table_cached``).
+    """
 
     eps: float
     n_max: int
@@ -636,72 +667,130 @@ class DiagonalTable:
     rel_jp: np.ndarray
 
 
-# Cost ceiling on the direct band: a defective Debye band b_lo..b_hi is
-# recomputed exactly by the Miller block when its lockstep lane-steps, about
-# (b_hi^2 - b_lo^2)/2, stay below it (b_hi up to about 20k orders from
-# b_lo = 2001), and goes through the anchored interpolant otherwise.
+# Cost ceiling on the direct band: the defective Debye band b_lo..b_hi(eps)
+# is computed exactly by the Miller block when the lockstep lane-steps of the
+# whole band, about (b_hi^2 - b_lo^2)/2, stay below it (b_hi up to about 20k
+# orders from b_lo = 2001), and goes through the anchored interpolant
+# otherwise.  The band depends on eps alone, so the choice does too, however
+# many of its orders a table asks for.
 _DIRECT_BAND_OPS = int(2e8)
-# Ceiling on the anchored-interpolation range; beyond it (eps extremely close
-# to 1) Debye values are kept with their large error estimates, which the
-# series evaluators surface as degraded-accuracy diagnostics.
+# Ceiling on the defective band, and so on the anchored-interpolation range;
+# beyond it (eps extremely close to 1) Debye values are kept with their large
+# error estimates, which the series evaluators surface as degraded-accuracy
+# diagnostics.
 _INTERP_MAX = 8_000_000
+
+
+@lru_cache(maxsize=64)
+def _band_hi(eps: float, cfg: BesselConfig) -> int:
+    """Last order b_hi of the defective Debye band crossover+1..b_hi.
+
+    The band holds the orders whose Debye error estimate exceeds
+    max(rel_tol, 2e-14).  The estimate falls as n grows, so the band is a
+    prefix of the Debye range, and b_hi does not depend on how many orders a
+    table asks for.  It is found by galloping (the order doubles from
+    crossover+1) and then by multisection; each round is one ``_debye_batch``
+    call on at most 32 orders.  The band is capped at ``_INTERP_MAX``.
+    Returns the crossover order when there is no band.
+    """
+    target = max(cfg.rel_tol, 2e-14)
+    lo, hi = cfg.crossover_order, _INTERP_MAX + 1  # lo is in the band or the crossover; hi is not
+    if lo >= _INTERP_MAX:
+        return lo
+    probes = [lo + 1]
+    while probes[-1] < _INTERP_MAX:
+        probes.append(min(2 * probes[-1], _INTERP_MAX))
+    while probes:
+        _, _, rel_j, rel_jp = _debye_batch(np.array(probes, dtype=np.int64), eps)
+        bad = np.maximum(rel_j, rel_jp) > target
+        first_good = int(np.argmin(bad)) if not bad.all() else len(probes)
+        if first_good > 0:
+            lo = probes[first_good - 1]
+        if first_good < len(probes):
+            hi = probes[first_good]
+        probes = [int(p) for p in np.unique(np.linspace(lo, hi, 34).astype(np.int64))
+                  if lo < p < hi]
+    return lo
+
+
+# The largest table built so far for each (eps, config), held weakly: while
+# the LRU below or a caller keeps it alive, a smaller size is a view of it and
+# a larger size copies it and computes only the new orders.
+_LARGEST: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=8)
 def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> DiagonalTable:
+    src = _LARGEST.get((eps, cfg))
+    if src is not None and src.n_max >= n_max:
+        return DiagonalTable(eps=eps, n_max=n_max, j=src.j[:n_max], jp=src.jp[:n_max],
+                             rel_j=src.rel_j[:n_max], rel_jp=src.rel_jp[:n_max])
+    n_old = 0 if src is None else src.n_max
     j = np.zeros(n_max)
     jp = np.zeros(n_max)
     rel_j = np.full(n_max, _SERIES_REL_ERR)
     rel_jp = np.full(n_max, _SERIES_REL_ERR)
+    if src is not None:
+        for dst, old in zip((j, jp, rel_j, rel_jp), (src.j, src.jp, src.rel_j, src.rel_jp)):
+            dst[:n_old] = old
+    _fill_orders(eps, cfg, n_old, j, jp, rel_j, rel_jp)
+    for arr in (j, jp, rel_j, rel_jp):
+        arr.setflags(write=False)
+    tab = DiagonalTable(eps=eps, n_max=n_max, j=j, jp=jp, rel_j=rel_j, rel_jp=rel_jp)
+    _LARGEST[(eps, cfg)] = tab
+    return tab
 
+
+def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp) -> None:
+    """Compute orders n_old+1..len(j) of a table in place.
+
+    Each path is elementwise in n (the Miller block's lanes are independent,
+    and Debye, the shift to the exact argument and the interpolant act order
+    by order), and the band is fixed by eps, so the values do not depend on
+    n_old or on len(j).
+    """
+    n_max = len(j)
     n_series = min(n_max, max(1, int(math.floor(_SERIES_X_MAX / eps))))
-    for n in range(1, n_series + 1):
+    for n in range(n_old + 1, n_series + 1):
         x = n * eps
         j[n - 1] = _jn_series(n, x)
         jp[n - 1] = 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
 
+    n_miller_lo = max(n_old, n_series) + 1
     n_miller_hi = min(n_max, cfg.crossover_order)
-    if n_miller_hi > n_series:
-        jm, jpm = _shift_to_exact_x(eps, n_series + 1,
-                                    *_miller_diag_block(eps, n_series + 1, n_miller_hi))
-        j[n_series:n_miller_hi] = jm
-        jp[n_series:n_miller_hi] = jpm
-        rel_j[n_series:n_miller_hi] = _MILLER_REL_ERR
-        rel_jp[n_series:n_miller_hi] = _MILLER_REL_ERR
+    if n_miller_hi >= n_miller_lo:
+        sl = slice(n_miller_lo - 1, n_miller_hi)
+        j[sl], jp[sl] = _shift_to_exact_x(eps, n_miller_lo,
+                                          *_miller_diag_block(eps, n_miller_lo, n_miller_hi))
+        rel_j[sl] = _MILLER_REL_ERR
+        rel_jp[sl] = _MILLER_REL_ERR
 
-    if n_max > n_miller_hi:
-        n_arr = np.arange(n_miller_hi + 1, n_max + 1, dtype=np.int64)
-        sl = slice(n_miller_hi, n_max)
+    n_lo = max(n_old, cfg.crossover_order) + 1
+    if n_max < n_lo:
+        return
+    b_lo, b_hi = cfg.crossover_order + 1, _band_hi(eps, cfg)
+    n_band_hi = min(n_max, b_hi)
+    if n_band_hi >= n_lo:
+        sl = slice(n_lo - 1, n_band_hi)
+        if (b_hi * b_hi - b_lo * b_lo) // 2 <= _DIRECT_BAND_OPS:
+            j[sl], jp[sl] = _shift_to_exact_x(eps, n_lo, *_miller_diag_block(eps, n_lo, n_band_hi))
+            band_err = _MILLER_REL_ERR
+        else:
+            j[sl], jp[sl] = _interp_band(eps, np.arange(n_lo, n_band_hi + 1, dtype=np.int64),
+                                         b_lo, b_hi)
+            band_err = _INTERP_REL_ERR
+        rel_j[sl] = band_err
+        rel_jp[sl] = band_err
+        n_lo = n_band_hi + 1
+
+    if n_max >= n_lo:
+        sl = slice(n_lo - 1, n_max)
         # copied straight into the table, so that no full-width Debye result
-        # is still held while the band below is computed
-        j[sl], jp[sl], rel_j[sl], rel_jp[sl] = _debye_batch(n_arr, eps)
+        # is held as well
+        j[sl], jp[sl], rel_j[sl], rel_jp[sl] = _debye_batch(
+            np.arange(n_lo, n_max + 1, dtype=np.int64), eps)
         np.maximum(rel_j[sl], 1e-16, out=rel_j[sl])
         np.maximum(rel_jp[sl], 1e-16, out=rel_jp[sl])
-
-        target = max(cfg.rel_tol, 2e-14)
-        bad = np.maximum(rel_j[sl], rel_jp[sl]) > target
-        if bad.any():
-            # the Debye error decreases with n, so the defective band is a prefix
-            cut = int(np.nonzero(bad)[0][-1]) + 1
-            cut = min(cut, max(0, _INTERP_MAX - n_miller_hi))
-            if cut > 0:
-                band = n_arr[:cut]
-                b_lo, b_hi = int(band[0]), int(band[-1])
-                if (b_hi * b_hi - b_lo * b_lo) // 2 <= _DIRECT_BAND_OPS:
-                    jb, jpb = _shift_to_exact_x(eps, b_lo, *_miller_diag_block(eps, b_lo, b_hi))
-                    band_err = _MILLER_REL_ERR
-                else:
-                    jb, jpb = _interp_band(eps, band, b_lo, b_hi)
-                    band_err = _INTERP_REL_ERR
-                bsl = slice(n_miller_hi, n_miller_hi + cut)
-                j[bsl] = jb
-                jp[bsl] = jpb
-                rel_j[bsl] = band_err
-                rel_jp[bsl] = band_err
-
-    for arr in (j, jp, rel_j, rel_jp):
-        arr.setflags(write=False)
-    return DiagonalTable(eps=eps, n_max=n_max, j=j, jp=jp, rel_j=rel_j, rel_jp=rel_jp)
 
 
 def diagonal_table(eps: float, n_max: int, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> DiagonalTable:
@@ -792,7 +881,7 @@ def kapteyn_coeff(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG)
         # eps = 1: seed higher up and recur down
         jv, _ = _diag_point(eps, n)
         return jv
-    return _miller_scalar(x, (n,))[n]
+    return _miller_diag_scalar(n, eps)[0]
 
 
 def kapteyn_coeff_prime(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
@@ -808,5 +897,5 @@ def kapteyn_coeff_prime(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_C
             return jpv
         _, jpv = _diag_point(eps, n)
         return jpv
-    vals = _miller_scalar(x, (n - 1, n + 1))
-    return 0.5 * (vals[n - 1] - vals[n + 1])
+    return _miller_diag_scalar(n, eps)[1]
+

@@ -1,6 +1,8 @@
 """Bessel evaluation: frozen oracle values, path consistency, invariants."""
 
+import gc
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -143,11 +145,24 @@ class TestAgainstOracle:
     ])
     def test_kapteyn_coeff_grid(self, n, eps):
         val = kapteyn_coeff(n, eps)
-        ref = jn(n, n * eps)
+        ref = jn(n, exact_x(n, eps))
         if val == 0.0:
             assert abs(ref) < 1e-290  # underflow policy
         else:
             assert rel_err(val, ref) <= 5e-13
+
+    @pytest.mark.parametrize("eps,n", [(0.6, 1889), (0.95, 1591)])
+    def test_scalar_miller_path_at_exact_argument(self, eps, n):
+        # below the crossover the scalar path recurs at fl(n*eps); unshifted
+        # it is 1.2e-13 (eps = 0.6) and 4.6e-14 (eps = 0.95) off here, and
+        # 1.2e-13 and 5.9e-14 off the table
+        x = exact_x(n, eps)
+        j, jp = kapteyn_coeff(n, eps), kapteyn_coeff_prime(n, eps)
+        assert rel_err(j, jn(n, x, dps=35)) <= 1e-14
+        assert rel_err(jp, jn_prime(n, x, dps=35)) <= 1e-14
+        tab = bessel.diagonal_table(eps, 2000)
+        assert abs(j / tab.j[n - 1] - 1.0) <= 3e-14
+        assert abs(jp / tab.jp[n - 1] - 1.0) <= 3e-14
 
     def test_gap_band_scalar_fallback(self):
         # eps close to 1 at an order where the Debye estimate is too weak:
@@ -316,3 +331,89 @@ class TestDiagonalTable:
     def test_underflow_returns_zero(self):
         # far below the double floor: J_1000(300) ~ 1e-400
         assert kapteyn_coeff(1000, 0.3) == 0.0
+
+
+def _built_fresh(eps, sizes):
+    """Copies of the arrays of diagonal_table(eps, n) for each n in sizes,
+    built in that order from an empty cache."""
+    bessel._diagonal_table_cached.cache_clear()
+    out = {}
+    for n in sizes:
+        tab = bessel.diagonal_table(eps, n)
+        out[n] = tuple(np.array(a) for a in (tab.j, tab.jp, tab.rel_j, tab.rel_jp))
+    del tab
+    bessel._diagonal_table_cached.cache_clear()
+    return out
+
+
+class TestTableGrowth:
+    @pytest.mark.parametrize("eps,small,big", [
+        (0.05, 17, 40),                      # power series only
+        (1.0 / math.sqrt(2.0), 1500, 4096),  # series, Miller block and Debye (D = 1)
+        (1.0 / math.sqrt(1.05), 3000, 8192),  # direct band 2001..4658 (D = 0.05)
+        (1.0 / math.sqrt(1.01), 16384, 32768),  # interpolated band 2001..50285 (D = 0.01)
+    ])
+    def test_prefix_invariance(self, eps, small, big):
+        # a value depends on (eps, n, config) only: the same bits whichever
+        # size is built first, and a table is a prefix of any larger one
+        up = _built_fresh(eps, (small, big))
+        down = _built_fresh(eps, (big, small))
+        for a, b, c, d in zip(up[small], up[big], down[small], down[big]):
+            assert np.array_equal(a, b[:small])
+            assert np.array_equal(a, c)
+            assert np.array_equal(b, d)
+
+    def test_smaller_size_is_a_view(self):
+        bessel._diagonal_table_cached.cache_clear()
+        big = bessel.diagonal_table(0.8, 3000)
+        small = bessel.diagonal_table(0.8, 700)
+        for a in (small.j, small.jp, small.rel_j, small.rel_jp):
+            assert not a.flags.writeable
+        assert np.shares_memory(small.j, big.j)
+        assert np.shares_memory(small.rel_jp, big.rel_jp)
+
+    def test_growth_computes_each_order_once(self, monkeypatch):
+        lanes, anchors = [], []
+        block, point = bessel._miller_diag_block, bessel._diag_point
+
+        def spy_block(eps, n_lo, n_hi):
+            lanes.extend(range(n_lo, n_hi + 1))
+            return block(eps, n_lo, n_hi)
+
+        def spy_point(eps, n):
+            anchors.append(n)
+            return point(eps, n)
+
+        monkeypatch.setattr(bessel, "_miller_diag_block", spy_block)
+        monkeypatch.setattr(bessel, "_diag_point", spy_point)
+        bessel._diagonal_table_cached.cache_clear()
+        bessel._diag_interpolant.cache_clear()
+        eps = 1.0 / math.sqrt(1.01)
+        for n_max in (1024, 4096, 16384, 131072, 200000):  # the D = 0.01 solve's growth
+            bessel.diagonal_table(eps, n_max)
+        bessel._diagonal_table_cached.cache_clear()
+        assert sorted(lanes) == list(range(3, 2001))  # series up to order 2
+        assert anchors and len(set(anchors)) == len(anchors)
+
+    @pytest.mark.parametrize("D", [0.01, 0.02, 0.05])
+    def test_band_end_matches_full_debye_pass(self, D):
+        eps = 1.0 / math.sqrt(1.0 + D)
+        cfg = DEFAULT_BESSEL_CONFIG
+        b_hi = bessel._band_hi.__wrapped__(eps, cfg)
+        n_arr = np.arange(cfg.crossover_order + 1, 4 * b_hi, dtype=np.int64)
+        _, _, rel_j, rel_jp = bessel._debye_batch(n_arr, eps)
+        bad = np.nonzero(np.maximum(rel_j, rel_jp) > max(cfg.rel_tol, 2e-14))[0]
+        assert len(bad) == bad[-1] + 1  # a prefix of the Debye range
+        assert b_hi == n_arr[bad[-1]]
+
+    def test_no_table_outlives_the_cache(self):
+        bessel._diagonal_table_cached.cache_clear()
+        refs = []
+        for n in (512, 2048, 1024):  # a build, an extension, a view
+            tab = bessel.diagonal_table(0.9, n)
+            refs += [weakref.ref(tab), weakref.ref(tab.j)]
+        del tab
+        bessel._diagonal_table_cached.cache_clear()
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert (0.9, DEFAULT_BESSEL_CONFIG) not in bessel._LARGEST
