@@ -21,12 +21,13 @@ orders higher and carried down by a short backward recurrence
 (``_diag_point``, whose cost does not grow with n).  The orders above the
 crossover where the expansion cannot reach the requested tolerance form a
 band crossover+1..b_hi that eps alone decides (``_band_hi``).  The table
-builder computes the band with the lockstep kernel while the whole band is
-short enough (up to about 20k orders), and beyond that interpolates along
-the diagonal n -> J_n(n*eps) with a Chebyshev fit anchored on ``_diag_point``
-values, fitted once per band; scalar calls use ``_diag_point`` directly.
-Either way the returned values carry a per-order relative error estimate so
-downstream series can report honest tail bounds.
+builder always interpolates the band along the diagonal n -> J_n(n*eps),
+with a Chebyshev fit anchored on ``_diag_point`` values and fitted once per
+band; a band of fewer orders than the fit has anchors takes ``_diag_point``
+at each order, and scalar calls use ``_diag_point`` directly.  The fit
+measures its own error against ``_diag_point`` between its nodes.  Every
+returned value carries a per-order relative error estimate so downstream
+series can report honest tail bounds.
 
 Every path is elementwise in n, so a table value depends on (eps, n, config)
 only.  Tables grow by extension: a larger table at the same eps copies the
@@ -60,15 +61,18 @@ _SERIES_X_MAX = 2.0
 _RESCALE = 1e250
 _RESCALE_INV = 1e-250
 # Per-path relative error envelopes, validated against 50-digit oracles in the
-# test suite.  The Miller figure is dominated by recurrence roundoff over
-# ladders of up to about 20k steps (the direct band at its cost ceiling).
+# test suite.  The Miller figure covers recurrence roundoff over the block's
+# ladders, which start a margin above the crossover order (about 2000 steps).
+# The anchored interpolant measures its own envelope (``_diag_interpolant``).
 _MILLER_REL_ERR = 2e-13
 _SERIES_REL_ERR = 5e-16
-_INTERP_REL_ERR = 3e-12
 _DEBYE_FLOOR = 5e-15
 _DEBYE_TERMS = 16  # correction polynomials U_1..U_16 / V_1..V_16
 _DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch and the interpolant
-_LANE_STRIDE = 32  # Miller-block steps between updates of the advanced lanes
+# Miller-block steps between renewals of the views over the advanced lanes;
+# at the block's widths (up to the crossover order) strides from 8 to 4096
+# time within 10 % of each other.
+_LANE_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -152,13 +156,11 @@ def _build_debye_polynomials(count: int):
 _U_POLYS, _V_POLYS = _build_debye_polynomials(_DEBYE_TERMS)
 
 
-def _poly_eval(coeffs: np.ndarray, t: float) -> float:
-    # Horner in float64; overflow saturates to inf, handled by the caller.
-    acc = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in coeffs[::-1]:
-            acc = acc * t + c
-    return float(acc)
+# The coefficients of U_0..U_16 and V_0..V_16 by power of t, highest first:
+# row i holds the coefficient of t^(48 - i) in each of the 34 polynomials,
+# zero-padded to degree 3 * _DEBYE_TERMS.
+_POLY_ROWS = np.array([np.pad(p[::-1], (3 * _DEBYE_TERMS + 1 - len(p), 0))
+                       for p in _U_POLYS + _V_POLYS]).T.copy()
 
 
 @lru_cache(maxsize=64)
@@ -225,9 +227,18 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
 
 
 def _debye_poly_values(t: float):
-    """U_k(t) and V_k(t), k = 0.._DEBYE_TERMS."""
-    return (np.array([_poly_eval(p, t) for p in _U_POLYS]),
-            np.array([_poly_eval(p, t) for p in _V_POLYS]))
+    """U_k(t) and V_k(t), k = 0.._DEBYE_TERMS, by one Horner pass over all 34.
+
+    The padding keeps a polynomial's running value at 0 until its leading
+    coefficient, so each one takes the steps of its own float64 Horner loop,
+    bit for bit.  Overflow saturates to inf, which the caller handles.
+    """
+    acc = np.zeros(_POLY_ROWS.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in _POLY_ROWS:
+            acc *= t
+            acc += row
+    return acc[: _DEBYE_TERMS + 1], acc[_DEBYE_TERMS + 1:]
 
 
 def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
@@ -575,13 +586,17 @@ def _diag_point(eps: float, n: int):
 # Anchored Chebyshev interpolation along the Kapteyn diagonal
 # ---------------------------------------------------------------------------
 
-def _chebyshev_nodes(n_lo: int, n_hi: int, count: int) -> np.ndarray:
-    a = math.log(n_lo)
-    b = math.log(n_hi)
-    j = np.arange(count)
-    u = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(math.pi * (2 * j + 1) / (2 * count))
-    nodes = np.unique(np.rint(np.exp(u)).astype(np.int64))
-    return nodes
+# Anchors per unit of ln(n_hi/n_lo), and at least (the fit's error is flat
+# from 8 to 24 per unit: the anchors' own noise); orders at which the fit is
+# checked, and the factor from the worst check to the declared envelope.
+_INTERP_PER_SPAN = 12
+_INTERP_MIN_ANCHORS = 16
+_INTERP_CHECKS = 5
+_INTERP_SAFETY = 8.0
+
+
+def _anchor_count(n_lo: int, n_hi: int) -> int:
+    return max(_INTERP_MIN_ANCHORS, math.ceil(_INTERP_PER_SPAN * math.log(n_hi / n_lo)))
 
 
 @lru_cache(maxsize=8)
@@ -593,46 +608,61 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
 
     anchored on ``_diag_point`` values, each a Debye seed a few hundred
     orders up carried down by a short backward recurrence.  Both functions
-    tend to 1 as n grows and are analytic in n, so a modest node count
-    reaches the double-precision plateau.
+    tend to 1 as n grows and are analytic in n, so ``_INTERP_PER_SPAN``
+    anchors per unit of ln(n_hi/n_lo) reach the anchors' own noise.
+
+    The fit measures its own error: at ``_INTERP_CHECKS`` orders halfway
+    (in angle) between Chebyshev nodes it is compared with ``_diag_point``,
+    and the worst relative disagreement, at least ``_SEED_REL_ERR``, times
+    ``_INTERP_SAFETY`` is the error envelope returned for J and for J'.
+    Returns (a, b, coef_d, coef_dp, rel_j, rel_jp), [a, b] being the fit's
+    range in ln n.
     """
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
-    span = math.log(n_hi) - math.log(n_lo)
-    count = max(64, int(math.ceil(24.0 * span)))
-    nodes = _chebyshev_nodes(n_lo, n_hi, count)
-    nodes_f = nodes.astype(np.float64)
-    inv_pref = _exp_n_lng(nodes_f, -lng_hi, -lng_lo, 0.5 * np.log(2.0 * math.pi * nodes_f))
-    d = np.empty(nodes.shape)
-    dp = np.empty(nodes.shape)
-    for i, nn in enumerate(nodes):
-        n = int(nn)
-        jv, jpv = _diag_point(eps, n)
-        d[i] = jv * inv_pref[i] * math.sqrt(s)
-        dp[i] = jpv * inv_pref[i] / math.sqrt(s) * eps
     a = math.log(n_lo)
     b = math.log(n_hi)
-    xm = (2.0 * np.log(nodes) - (a + b)) / (b - a)
-    deg = len(nodes) - 1
-    coef_d = np.polynomial.chebyshev.chebfit(xm, d, deg)
-    coef_dp = np.polynomial.chebyshev.chebfit(xm, dp, deg)
-
-    def trim(c):
-        tiny = 1e-15 * np.abs(c).max()
-        keep = np.nonzero(np.abs(c) > tiny)[0]
-        return c[: keep[-1] + 1] if len(keep) else c[:1]
-
-    return a, b, trim(coef_d), trim(coef_dp)
+    count = _anchor_count(n_lo, n_hi)
+    # nodes at the angles pi (2j + 1) / (2 count), checks at some of the
+    # angles pi k / count between them
+    angles = np.pi * np.arange(2 * count + 1) / (2 * count)
+    orders = np.rint(np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.cos(angles))).astype(np.int64)
+    nodes = np.unique(orders[1::2])
+    picks = 2 * np.rint(np.linspace(1, count - 1, _INTERP_CHECKS)).astype(np.int64)
+    checks = np.setdiff1d(orders[picks], nodes)  # on a short band an order may be both
+    n = np.concatenate([nodes, checks]).astype(np.float64)
+    inv_pref = _exp_n_lng(n, -lng_hi, -lng_lo, 0.5 * np.log(2.0 * math.pi * n))
+    vals = np.array([_diag_point(eps, int(m)) for m in n]).reshape(-1, 2)
+    xm = (2.0 * np.log(n) - (a + b)) / (b - a)
+    k = len(nodes)
+    coefs, envelopes = [], []
+    for f in (vals[:, 0] * inv_pref * math.sqrt(s), vals[:, 1] * inv_pref / math.sqrt(s) * eps):
+        c = np.polynomial.chebyshev.chebfit(xm[:k], f[:k], k - 1)
+        keep = np.nonzero(np.abs(c) > 1e-15 * np.abs(c).max())[0]
+        c = c[: keep[-1] + 1] if len(keep) else c[:1]
+        agree = np.max(np.abs(np.polynomial.chebyshev.chebval(xm[k:], c) / f[k:] - 1.0),
+                       initial=0.0)
+        coefs.append(c)
+        envelopes.append(_INTERP_SAFETY * max(float(agree), _SEED_REL_ERR))
+    return (a, b, *coefs, *envelopes)
 
 
 def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
-    """Evaluate the anchored interpolant on integer orders n_arr.
+    """J_n(n eps), J_n'(n eps) on integer orders n_arr of the band n_lo..n_hi.
 
-    Like ``_debye_batch`` it works in chunks of ``_DEBYE_CHUNK`` orders:
-    chebval's temporaries then stay in cache, which makes it several times
-    faster on long bands, and every step is elementwise, so no value changes.
+    Returns (j, jp, rel_j, rel_jp), the last two the band's error envelopes
+    (floats).  A band of no more orders than the fit would take anchors is
+    served by ``_diag_point`` at each order; a longer one by the anchored
+    interpolant.  Like ``_debye_batch``, the fit is evaluated in chunks of
+    ``_DEBYE_CHUNK`` orders: chebval's temporaries then stay in cache, which
+    makes it several times faster on long bands, and every step is
+    elementwise, so no value changes.
     """
+    if n_hi - n_lo < _anchor_count(n_lo, n_hi):
+        pts = np.array([_diag_point(eps, int(n)) for n in n_arr]).reshape(-1, 2)
+        rel = _INTERP_SAFETY * _SEED_REL_ERR
+        return pts[:, 0], pts[:, 1], rel, rel
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
-    a, b, coef_d, coef_dp = _diag_interpolant(eps, n_lo, n_hi)
+    a, b, coef_d, coef_dp, rel_j, rel_jp = _diag_interpolant(eps, n_lo, n_hi)
     j = np.empty(len(n_arr))
     jp = np.empty(len(n_arr))
     for lo in range(0, len(n_arr), _DEBYE_CHUNK):
@@ -642,7 +672,7 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
         pref = _exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * n))
         j[sl] = np.polynomial.chebyshev.chebval(xm, coef_d) * pref / math.sqrt(s)
         jp[sl] = np.polynomial.chebyshev.chebval(xm, coef_dp) * pref * math.sqrt(s) / eps
-    return j, jp
+    return j, jp, rel_j, rel_jp
 
 
 # ---------------------------------------------------------------------------
@@ -667,17 +697,10 @@ class DiagonalTable:
     rel_jp: np.ndarray
 
 
-# Cost ceiling on the direct band: the defective Debye band b_lo..b_hi(eps)
-# is computed exactly by the Miller block when the lockstep lane-steps of the
-# whole band, about (b_hi^2 - b_lo^2)/2, stay below it (b_hi up to about 20k
-# orders from b_lo = 2001), and goes through the anchored interpolant
-# otherwise.  The band depends on eps alone, so the choice does too, however
-# many of its orders a table asks for.
-_DIRECT_BAND_OPS = int(2e8)
-# Ceiling on the defective band, and so on the anchored-interpolation range;
-# beyond it (eps extremely close to 1) Debye values are kept with their large
-# error estimates, which the series evaluators surface as degraded-accuracy
-# diagnostics.
+# Ceiling on the defective band, all of which the anchored interpolant
+# serves; beyond it (eps extremely close to 1) Debye values are kept with
+# their large error estimates, which the series evaluators surface as
+# degraded-accuracy diagnostics.
 _INTERP_MAX = 8_000_000
 
 
@@ -772,15 +795,8 @@ def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp
     n_band_hi = min(n_max, b_hi)
     if n_band_hi >= n_lo:
         sl = slice(n_lo - 1, n_band_hi)
-        if (b_hi * b_hi - b_lo * b_lo) // 2 <= _DIRECT_BAND_OPS:
-            j[sl], jp[sl] = _shift_to_exact_x(eps, n_lo, *_miller_diag_block(eps, n_lo, n_band_hi))
-            band_err = _MILLER_REL_ERR
-        else:
-            j[sl], jp[sl] = _interp_band(eps, np.arange(n_lo, n_band_hi + 1, dtype=np.int64),
-                                         b_lo, b_hi)
-            band_err = _INTERP_REL_ERR
-        rel_j[sl] = band_err
-        rel_jp[sl] = band_err
+        j[sl], jp[sl], rel_j[sl], rel_jp[sl] = _interp_band(
+            eps, np.arange(n_lo, n_band_hi + 1, dtype=np.int64), b_lo, b_hi)
         n_lo = n_band_hi + 1
 
     if n_max >= n_lo:

@@ -124,6 +124,26 @@ class TestDebyePolynomials:
         v1 = bessel._V_POLYS[1]
         assert v1[1] == pytest.approx(-9 / 24) and v1[3] == pytest.approx(7 / 24)
 
+    def test_one_horner_pass_matches_scalar_horner_bit_for_bit(self):
+        def horner(coeffs, t):  # float64 Horner, highest power first
+            acc = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in coeffs[::-1]:
+                    acc = acc * t + c
+            return acc
+
+        def bits(vals):
+            return np.asarray(vals, dtype=np.float64).view(np.uint64)
+
+        overflowed = 0
+        # t = 1/s runs from 1 (eps -> 0) up; U_16 overflows from t ~ 1.4e6
+        for t in map(float, np.concatenate([np.geomspace(1.0, 1e8, 301), [1e12, 1e300]])):
+            u, v = bessel._debye_poly_values(t)
+            assert np.array_equal(bits(u), bits([horner(p, t) for p in bessel._U_POLYS]))
+            assert np.array_equal(bits(v), bits([horner(p, t) for p in bessel._V_POLYS]))
+            overflowed += int(np.isinf(u).any())
+        assert overflowed >= 50
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("n,x", [
@@ -272,24 +292,32 @@ class TestDiagonalTable:
             refp = jn_prime(n, x, dps=35)
             assert rel_err(tab.j[n - 1], ref) <= 3e-12
             assert rel_err(tab.jp[n - 1], refp) <= 3e-12
+            assert rel_err(tab.j[n - 1], ref) <= tab.rel_j[n - 1]
+            assert rel_err(tab.jp[n - 1], refp) <= tab.rel_jp[n - 1]
 
     @pytest.mark.parametrize("eps,n_max,band_hi,extra", [
         (0.99, 8192, 8192, ()),
-        # band near the largest the direct-band cost ceiling allows; at 17798
-        # the block's values before the shift to the exact argument are 4.6e-13 off
+        # at 17798 a recurrence at fl(n*eps), unshifted to the exact
+        # argument, is 4.6e-13 off
         (1.0 / math.sqrt(1.02), 32768, 17937, (17798,)),
+        (1.0 / math.sqrt(1.0898), 4096, 2001, ()),  # a one-order band
+        (1.0 / math.sqrt(1.08975), 4096, 2003, ()),  # a three-order band
+        (1.0 / math.sqrt(1.089), 4096, 2027, ()),  # 27 orders, fitted on 16 anchors
     ])
-    def test_direct_band_against_oracle(self, eps, n_max, band_hi, extra):
+    def test_band_vs_oracle(self, eps, n_max, band_hi, extra):
         tab = bessel.diagonal_table(eps, n_max)
-        band = slice(2000, band_hi)
-        assert np.all(tab.rel_j[band] == bessel._MILLER_REL_ERR)
-        assert np.all(tab.rel_jp[band] == bessel._MILLER_REL_ERR)
         if band_hi < n_max:
-            assert tab.rel_j[band_hi] < bessel._MILLER_REL_ERR  # Debye takes over
+            assert bessel._band_hi(eps, DEFAULT_BESSEL_CONFIG) == band_hi
+        # no band declares a worse envelope than the Miller block's
+        band = slice(2000, band_hi)
+        assert np.all(tab.rel_j[band] <= bessel._MILLER_REL_ERR)
+        assert np.all(tab.rel_jp[band] <= bessel._MILLER_REL_ERR)
         for n in (2001, (2001 + band_hi) // 2, band_hi) + extra:
             x = exact_x(n, eps)
-            assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= bessel._MILLER_REL_ERR
-            assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+            err_j = rel_err(tab.j[n - 1], jn(n, x, dps=35))
+            err_jp = rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35))
+            assert err_j <= bessel._MILLER_REL_ERR and err_jp <= bessel._MILLER_REL_ERR
+            assert err_j <= tab.rel_j[n - 1] and err_jp <= tab.rel_jp[n - 1]
 
     def test_miller_region_against_oracle(self):
         # before the shift to the exact argument n*eps, 2.2e-13 off here
@@ -301,7 +329,7 @@ class TestDiagonalTable:
 
     def test_miller_block_lanes_are_independent(self):
         # an order's value does not depend on the range it is computed with,
-        # so the Miller region and the direct band share one kernel unchanged
+        # so a table extension's lanes match those of a whole build
         j, jp = bessel._miller_diag_block(0.97, 3, 2400)
         js, jps = bessel._miller_diag_block(0.97, 1990, 2010)
         assert np.array_equal(j[1987:2008], js)
@@ -350,7 +378,7 @@ class TestTableGrowth:
     @pytest.mark.parametrize("eps,small,big", [
         (0.05, 17, 40),                      # power series only
         (1.0 / math.sqrt(2.0), 1500, 4096),  # series, Miller block and Debye (D = 1)
-        (1.0 / math.sqrt(1.05), 3000, 8192),  # direct band 2001..4658 (D = 0.05)
+        (1.0 / math.sqrt(1.05), 3000, 8192),  # band 2001..4658 (D = 0.05)
         (1.0 / math.sqrt(1.01), 16384, 32768),  # interpolated band 2001..50285 (D = 0.01)
     ])
     def test_prefix_invariance(self, eps, small, big):
