@@ -11,7 +11,8 @@ For real C the series converge on (g, 1], where g = eps*exp(s)/(1+s) with
 s = sqrt(1-eps^2) is Kapteyn's boundary function.  Coefficients decay like
 g^n/sqrt(n), so once past a short pre-asymptotic regime the tail is bounded
 by a geometric majorant in the ratio g/C; truncation stops when that
-majorant falls below the requested absolute tolerance.
+majorant falls below the requested absolute tolerance.  Every sum walks the
+table in chunks (``_walk``) and computes nothing past the chunk it stops in.
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ def domain_floor(ecc: Eccentricity, trunc: TruncationConfig = DEFAULT_TRUNCATION
     return ecc.g + trunc.safety_margin * (1.0 - ecc.g)
 
 
-def _table_size(n: int) -> int:
-    return max(256, 1 << (int(n) - 1).bit_length())
-
-
 def _estimate_terms(t1: float, rho: float, weighted: bool, trunc: TruncationConfig) -> int:
     """Predict the truncation order from the first-term scale and ratio rho."""
     if t1 <= 0.0 or rho >= 1.0:
@@ -162,78 +159,101 @@ def _domain_check(C: float, ecc: Eccentricity, trunc: TruncationConfig) -> None:
         )
 
 
-def _series_terms(kind: str, tab, size: int, n: np.ndarray, ln_c: float):
-    """Full folded terms 2*J*cosh / 2*n*J*sinh / 2*n*J'*cosh.
+def _walk(ecc: Eccentricity, n_est: int, trunc: TruncationConfig, bcfg: BesselConfig):
+    """Walk the diagonal table in chunks (tab, lo, hi) of orders lo+1..hi.
 
-    When n|ln C| can exceed the cosh/sinh overflow threshold inside the table
-    the hyperbolics are assembled in log form, pairing each exponential with
-    the (tiny) coefficient so the product never overflows representationally.
+    The first table holds n_est orders rounded up to a power of two (at least
+    256); past its end the table is looked up again four times larger, and
+    the walk resumes at the first new order.  A chunk holds at most
+    ``bessel._DEBYE_CHUNK`` orders.  The walk ends with the chunk that
+    reaches ``max_terms``; a consumer stops it earlier by leaving the loop in
+    the first chunk that meets its own rule.
     """
-    coeff = tab.j[:size] if kind != "F2" else tab.jp[:size]
+    start, size = 0, max(256, 1 << (int(n_est) - 1).bit_length())
+    while True:
+        size = min(size, trunc.max_terms)
+        tab = bessel.diagonal_table(ecc.eps, size, bcfg)
+        for lo in range(start, size, bessel._DEBYE_CHUNK):
+            yield tab, lo, min(lo + bessel._DEBYE_CHUNK, size)
+        if size >= trunc.max_terms:
+            return
+        start, size = size, size * 4
+
+
+def _first_stop(tail: np.ndarray, lo: int, trunc: TruncationConfig):
+    """Order of the first term, at or past ``_MIN_TERMS``, whose tail meets abs_tol."""
+    can_stop = tail <= trunc.abs_tol
+    can_stop[: max(0, _MIN_TERMS - 1 - lo)] = False
+    return lo + int(np.argmax(can_stop)) + 1 if can_stop.any() else None
+
+
+def _series_terms(kind: str, tab, lo: int, hi: int, ln_c: float, rho: float):
+    """Folded terms 2*J*cosh / 2*n*J*sinh / 2*n*J'*cosh of orders lo+1..hi, and tails.
+
+    The tail of term n is its geometric majorant |term|*r/(1 - r), with
+    r = rho for F and rho*(1 + 1/n) for the n-weighted kinds.  When n|ln C|
+    can exceed the cosh/sinh overflow threshold inside the table, the
+    hyperbolics are assembled in log form, pairing each exponential with the
+    (tiny) coefficient so the product never overflows representationally;
+    the choice depends on the table, not on the chunk.
+    """
+    coeff = tab.j[lo:hi] if kind != "F2" else tab.jp[lo:hi]
+    n = np.arange(lo + 1.0, hi + 1.0)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        if size * abs(ln_c) <= 700.0:
-            if kind == "F1":
-                hyp = np.sinh(n * ln_c)
+        if tab.n_max * abs(ln_c) <= 700.0:  # one expression: its temporaries die here
+            hyp = np.sinh if kind == "F1" else np.cosh
+            terms = (2.0 if kind == "F" else 2.0 * n) * coeff * hyp(n * ln_c)
+        else:
+            log_coeff = np.where(coeff > 0.0, np.log(np.maximum(coeff, 5e-324)), -np.inf)
+            up = np.exp(log_coeff + n * ln_c)
+            dn = np.exp(log_coeff - n * ln_c)
+            if kind == "F":
+                terms = up + dn
+            elif kind == "F1":
+                terms = n * (up - dn)
             else:
-                hyp = np.cosh(n * ln_c)
-            weight = 2.0 if kind == "F" else 2.0 * n
-            return weight * coeff * hyp
-        log_coeff = np.where(coeff > 0.0, np.log(np.maximum(coeff, 5e-324)), -np.inf)
-        up = np.exp(log_coeff + n * ln_c)
-        dn = np.exp(log_coeff - n * ln_c)
-        if kind == "F":
-            return up + dn
-        if kind == "F1":
-            return n * (up - dn)
-        sign = np.sign(tab.jp[:size])
-        return sign * n * (up + dn)
+                terms = np.sign(coeff) * n * (up + dn)
+        rho_eff = rho if kind == "F" else rho * (1.0 + 1.0 / n)
+        tail = np.abs(terms) * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16))
+    return terms, tail
 
 
 def _eval_series(C: float, ecc: Eccentricity, trunc: TruncationConfig,
                  bcfg: BesselConfig, kind: str) -> SeriesValue:
+    """One of F, F1, F2 at C, summed up to the first order whose tail meets abs_tol.
+
+    The first table is sized from a prediction of that order.  Terms and
+    tails are computed chunk by chunk along ``_walk`` and only up to the
+    chunk that holds the truncation order N; the used terms are then summed
+    once.  If no order within max_terms qualifies, all max_terms terms are
+    summed and ``converged`` is False.
+    """
     _domain_check(C, ecc, trunc)
     rho = ecc.g / C
     ln_c = math.log(C)
 
     # first-term scale for the size prediction; J_1(eps) ~ eps/2
     t1 = ecc.eps * math.cosh(ln_c)
-    weighted = kind != "F"
-    n_try = _estimate_terms(t1, rho, weighted, trunc)
-
-    while True:
-        size = min(trunc.max_terms, _table_size(n_try))
-        tab = bessel.diagonal_table(ecc.eps, size, bcfg)
-        n = np.arange(1.0, size + 1.0)
-        terms = _series_terms(kind, tab, size, n, ln_c)
-        rel = tab.rel_j[:size] if kind != "F2" else tab.rel_jp[:size]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_eff = rho if kind == "F" else rho * (1.0 + 1.0 / n)
-            tail = np.abs(terms) * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16))
-        can_stop = tail <= trunc.abs_tol
-        can_stop[: _MIN_TERMS - 1] = False
-        if can_stop.any():
-            n_used = int(np.argmax(can_stop)) + 1
-            converged = True
+    parts = []
+    for tab, lo, hi in _walk(ecc, _estimate_terms(t1, rho, kind != "F", trunc), trunc, bcfg):
+        terms, tail = _series_terms(kind, tab, lo, hi, ln_c, rho)
+        parts.append(terms)
+        n_used = _first_stop(tail, lo, trunc)
+        if n_used is not None:
             break
-        if size >= trunc.max_terms:
-            n_used = size
-            converged = False
-            break
-        n_try = min(trunc.max_terms, size * 4)
+    converged = n_used is not None
+    n_used = n_used or hi
 
-    used = terms[:n_used]
+    used = (parts[0] if len(parts) == 1 else np.concatenate(parts))[:n_used]
     if not np.isfinite(used).all():
         raise OutOfRange("series terms overflowed inside the evaluation range")
-    value = float(np.sum(used))
-    const = 1.0 if kind == "F" else 0.0
-    tail_bound = float(tail[n_used - 1]) if np.isfinite(tail[n_used - 1]) else math.inf
-    coeff_err = float(np.dot(np.abs(used), rel[:n_used]))
+    rel = tab.rel_jp if kind == "F2" else tab.rel_j
     return SeriesValue(
-        value=const + value,
+        value=(1.0 if kind == "F" else 0.0) + float(np.sum(used)),
         terms_used=n_used,
-        tail_bound=tail_bound,
+        tail_bound=float(tail[n_used - 1 - lo]),
         converged=converged,
-        coeff_err=coeff_err,
+        coeff_err=float(np.dot(np.abs(used), rel[:n_used])),
     )
 
 
@@ -282,35 +302,23 @@ def eval_trig_sums(E: float, ecc: Eccentricity,
             f"E must lie strictly inside ({endpoint_margin}, pi - {endpoint_margin}), got {E}"
         )
     M = E - ecc.eps * math.sin(E)
-    g = ecc.g
-
-    n_try = _estimate_terms(ecc.eps, g, True, trunc)
-    while True:
-        size = min(trunc.max_terms, _table_size(n_try))
-        tab = bessel.diagonal_table(ecc.eps, size, bcfg)
-        n = np.arange(1.0, size + 1.0)
-        base = np.maximum(tab.j[:size], np.maximum(n * tab.j[:size], n * np.abs(tab.jp[:size])))
-        rho_eff = g * (1.0 + 1.0 / n)
-        tail = 2.0 * base * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16))
-        can_stop = tail <= trunc.abs_tol
-        can_stop[: _MIN_TERMS - 1] = False
-        if can_stop.any():
-            n_used = int(np.argmax(can_stop)) + 1
+    for tab, lo, hi in _walk(ecc, _estimate_terms(ecc.eps, ecc.g, True, trunc), trunc, bcfg):
+        j, jp = tab.j[lo:hi], tab.jp[lo:hi]
+        n = np.arange(lo + 1.0, hi + 1.0)
+        rho_eff = ecc.g * (1.0 + 1.0 / n)
+        base = np.maximum(j, np.maximum(n * j, n * np.abs(jp)))
+        n_used = _first_stop(2.0 * base * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16)),
+                             lo, trunc)
+        if n_used is not None:
             break
-        if size >= trunc.max_terms:
-            raise MaxTermsExceeded(
-                f"trig sums did not reach abs_tol={trunc.abs_tol} within "
-                f"{trunc.max_terms} terms (eps={ecc.eps})"
-            )
-        n_try = min(trunc.max_terms, size * 4)
+    else:
+        raise MaxTermsExceeded(
+            f"trig sums did not reach abs_tol={trunc.abs_tol} within "
+            f"{trunc.max_terms} terms (eps={ecc.eps})"
+        )
 
-    n = n[:n_used]
-    phase = n * M
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
-    j = tab.j[:n_used]
-    jp = tab.jp[:n_used]
-    s0 = 1.0 + 2.0 * float(np.sum(j * cos_p))
-    s1 = 2.0 * float(np.sum(n * j * sin_p))
-    s2 = 2.0 * float(np.sum(n * jp * cos_p))
-    return s0, s1, s2
+    n = np.arange(1.0, n_used + 1.0)
+    cos_p, sin_p = np.cos(n * M), np.sin(n * M)
+    j, jp = tab.j[:n_used], tab.jp[:n_used]
+    return (1.0 + 2.0 * float(np.sum(j * cos_p)), 2.0 * float(np.sum(n * j * sin_p)),
+            2.0 * float(np.sum(n * jp * cos_p)))

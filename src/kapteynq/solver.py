@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bessel as _bessel
 from .bessel import DEFAULT_BESSEL_CONFIG, BesselConfig
 from .errors import DegenerateF1, MaxTermsExceeded, NoBracket
 from .kapteyn import (
     DEFAULT_TRUNCATION,
     Eccentricity,
     TruncationConfig,
+    _walk,
     eval_F,
     eval_F1,
     eval_F2,
@@ -88,33 +88,25 @@ def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
 
     All folded terms are positive for real C in (g, 1], so a partial sum
     crossing the target is a proof; full convergence below the target is a
-    disproof; hitting the cap undecided returns None.
+    disproof; hitting the cap undecided returns None.  Both are decided at
+    the end of each chunk of the walk.
     """
     ln_c = math.log(C)
     total = 1.0
-    size = 1024
-    start = 0
-    while True:
-        size = min(size, trunc.max_terms)
-        tab = _bessel.diagonal_table(ecc.eps, size, bcfg)
-        n = np.arange(start + 1.0, size + 1.0)
+    for tab, lo, hi in _walk(ecc, 1024, trunc, bcfg):
+        n = np.arange(lo + 1.0, hi + 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            chunk = 2.0 * tab.j[start:size] * np.cosh(n * ln_c)
+            chunk = 2.0 * tab.j[lo:hi] * np.cosh(n * ln_c)
             # far past the decayed tail, underflowed J times overflowed cosh
             # yields NaN for terms that are morally zero; drop them
             chunk = np.where(np.isfinite(chunk), chunk, 0.0)
-        running = total + np.cumsum(chunk)
-        if running.size and bool(np.any(running > target)):
+        total += float(np.cumsum(chunk)[-1])  # the running partial sum, added in order
+        if total > target:
             return True
-        total = float(running[-1]) if running.size else total
-        last = float(chunk[-1]) if chunk.size else 0.0
-        tail = last * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
-        if chunk.size and tail <= trunc.abs_tol and total + tail <= target:
+        tail = float(chunk[-1]) * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
+        if tail <= trunc.abs_tol and total + tail <= target:
             return False
-        if size >= trunc.max_terms:
-            return None
-        start = size
-        size *= 4
+    return None
 
 
 def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,

@@ -76,3 +76,28 @@ def rel_err(approx, exact) -> float:
     if exact == 0:
         return float(abs(approx))
     return float(abs((mp.mpf(float(approx)) - exact) / exact))
+
+
+def kapteyn_triple(C, eps, dps: int = 40):
+    """(F, F1, F2) at real C in (g, 1] from Kepler's equation at E = i*eta.
+
+    With E = i*eta the mean anomaly is M = i*(eta - eps*sinh(eta)), so
+    C = exp(iM) on the real axis asks for eta - eps*sinh(eta) = -ln C.  The
+    left side rises from 0 at eta = 0 to -ln g at eta = arccosh(1/eps), so
+    the root is unique there and is found by bisection.  With
+    rho_K = 1 - eps*cosh(eta), the sums are F = 1/rho_K,
+    F1 = -eps*sinh(eta)/rho_K^3 and F2 = (cosh(eta) - eps)/rho_K^3.
+    """
+    with mp.workdps(dps + 10):
+        e = mp.mpf(eps)
+        target = -mp.log(mp.mpf(C))
+        lo, hi = mp.mpf(0), mp.acosh(1 / e)
+        for _ in range(int(3.5 * dps) + 40):
+            mid = (lo + hi) / 2
+            if mid - e * mp.sinh(mid) > target:
+                hi = mid
+            else:
+                lo = mid
+        eta = (lo + hi) / 2
+        rho = 1 - e * mp.cosh(eta)
+        return 1 / rho, -e * mp.sinh(eta) / rho**3, (mp.cosh(eta) - e) / rho**3

@@ -3,10 +3,12 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from kapteynq import bound_interval, closed_C, exact_series_values
-from kapteynq.bessel import bessel_j, bessel_j_prime
+from _oracles import kapteyn_triple
+from kapteynq import bessel, bound_interval, closed_C, exact_series_values, kapteyn, solver
+from kapteynq.bessel import DEFAULT_BESSEL_CONFIG, bessel_j, bessel_j_prime
 from kapteynq.errors import DivergentDomain, MaxTermsExceeded, OutOfRange
 from kapteynq.kapteyn import (
     Eccentricity,
@@ -279,3 +281,228 @@ def test_exact_series_triple_consistency():
         assert eval_F(c, ecc).value == pytest.approx(fe, rel=1e-9)
         assert eval_F1(c, ecc).value == pytest.approx(f1e, rel=1e-8)
         assert eval_F2(c, ecc).value == pytest.approx(f2e, rel=1e-8)
+
+
+class TestOffRootOracle:
+    """F, F1 and F2 against Kepler's equation at an imaginary eccentric anomaly.
+
+    C = g + t*(1 - g) off the root, and the root itself.  The series must lie
+    within its own tail bound and coefficient error, plus 4 ulp of rounding,
+    whether the evaluation converged or stopped at the term cap (the t = 1e-3
+    points at D <= 0.05 walk all 200 000 terms).
+    """
+
+    @pytest.mark.parametrize("d,t", [
+        *((d, t) for d in (0.01, 0.02, 0.05) for t in (1e-3, 0.1, 0.5, "root")),
+        *((d, t) for d in (1.0, 100.0) for t in (0.1, 0.5, "root")),
+    ])
+    def test_series_within_own_bounds(self, d, t):
+        ecc = Eccentricity.from_D(d)
+        c = closed_C(d) if t == "root" else ecc.g + t * (1.0 - ecc.g)
+        for evaluate, exact in zip((eval_F, eval_F1, eval_F2), kapteyn_triple(c, ecc.eps)):
+            sv = evaluate(c, ecc)
+            allowance = sv.tail_bound + sv.coeff_err + 4.0 * math.ulp(abs(float(exact)))
+            assert abs(mp.mpf(sv.value) - exact) <= allowance, (evaluate.__name__, sv)
+
+    def test_oracle_matches_exact_values(self):
+        for d in (0.5, 2.0):
+            triple = kapteyn_triple(closed_C(d), 1.0 / math.sqrt(d + 1.0))
+            for got, want in zip(triple, exact_series_values(d)):
+                assert float(got) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The chunked walk against the whole-table evaluation it replaced
+# ---------------------------------------------------------------------------
+
+def _whole_table_terms(kind, tab, size, n, ln_c):
+    coeff = tab.j[:size] if kind != "F2" else tab.jp[:size]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        if size * abs(ln_c) <= 700.0:
+            hyp = np.sinh(n * ln_c) if kind == "F1" else np.cosh(n * ln_c)
+            weight = 2.0 if kind == "F" else 2.0 * n
+            return weight * coeff * hyp
+        log_coeff = np.where(coeff > 0.0, np.log(np.maximum(coeff, 5e-324)), -np.inf)
+        up = np.exp(log_coeff + n * ln_c)
+        dn = np.exp(log_coeff - n * ln_c)
+        if kind == "F":
+            return up + dn
+        if kind == "F1":
+            return n * (up - dn)
+        return np.sign(tab.jp[:size]) * n * (up + dn)
+
+
+def _table_size(n):
+    return max(256, 1 << (int(n) - 1).bit_length())
+
+
+def _whole_table_series(C, ecc, trunc, kind):
+    """The evaluation before the walk: terms and tails over the whole table."""
+    rho = ecc.g / C
+    ln_c = math.log(C)
+    n_try = kapteyn._estimate_terms(ecc.eps * math.cosh(ln_c), rho, kind != "F", trunc)
+    while True:
+        size = min(trunc.max_terms, _table_size(n_try))
+        tab = bessel.diagonal_table(ecc.eps, size)
+        n = np.arange(1.0, size + 1.0)
+        terms = _whole_table_terms(kind, tab, size, n, ln_c)
+        rel = tab.rel_j[:size] if kind != "F2" else tab.rel_jp[:size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_eff = rho if kind == "F" else rho * (1.0 + 1.0 / n)
+            tail = np.abs(terms) * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16))
+        can_stop = tail <= trunc.abs_tol
+        can_stop[:9] = False
+        if can_stop.any():
+            n_used, converged = int(np.argmax(can_stop)) + 1, True
+            break
+        if size >= trunc.max_terms:
+            n_used, converged = size, False
+            break
+        n_try = min(trunc.max_terms, size * 4)
+    used = terms[:n_used]
+    return ((1.0 if kind == "F" else 0.0) + float(np.sum(used)), n_used,
+            float(tail[n_used - 1]), converged, float(np.dot(np.abs(used), rel[:n_used])))
+
+
+def _whole_table_trig(E, ecc, trunc):
+    M = E - ecc.eps * math.sin(E)
+    n_try = kapteyn._estimate_terms(ecc.eps, ecc.g, True, trunc)
+    while True:
+        size = min(trunc.max_terms, _table_size(n_try))
+        tab = bessel.diagonal_table(ecc.eps, size)
+        n = np.arange(1.0, size + 1.0)
+        base = np.maximum(tab.j[:size], np.maximum(n * tab.j[:size], n * np.abs(tab.jp[:size])))
+        rho_eff = ecc.g * (1.0 + 1.0 / n)
+        can_stop = 2.0 * base * rho_eff / (1.0 - np.minimum(rho_eff, 1.0 - 1e-16)) <= trunc.abs_tol
+        can_stop[:9] = False
+        if can_stop.any():
+            n_used = int(np.argmax(can_stop)) + 1
+            break
+        if size >= trunc.max_terms:
+            raise MaxTermsExceeded("cap")
+        n_try = min(trunc.max_terms, size * 4)
+    n = n[:n_used]
+    j, jp = tab.j[:n_used], tab.jp[:n_used]
+    return (1.0 + 2.0 * float(np.sum(j * np.cos(n * M))), 2.0 * float(np.sum(n * j * np.sin(n * M))),
+            2.0 * float(np.sum(n * jp * np.cos(n * M))))
+
+
+def _whole_table_f_exceeds(C, ecc, trunc, target):
+    ln_c = math.log(C)
+    total, size, start = 1.0, 1024, 0
+    while True:
+        size = min(size, trunc.max_terms)
+        tab = bessel.diagonal_table(ecc.eps, size)
+        n = np.arange(start + 1.0, size + 1.0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            chunk = 2.0 * tab.j[start:size] * np.cosh(n * ln_c)
+            chunk = np.where(np.isfinite(chunk), chunk, 0.0)
+        running = total + np.cumsum(chunk)
+        if bool(np.any(running > target)):
+            return True
+        total = float(running[-1])
+        tail = float(chunk[-1]) * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
+        if tail <= trunc.abs_tol and total + tail <= target:
+            return False
+        if size >= trunc.max_terms:
+            return None
+        start, size = size, size * 4
+
+
+def _off_root(d, t):
+    ecc = Eccentricity.from_D(d)
+    return ecc, (closed_C(d) if t == "root" else ecc.g + t * (1.0 - ecc.g))
+
+
+class TestWalk:
+    """The chunked walk returns what the whole-table evaluation returned.
+
+    Value, terms_used, tail_bound and converged are equal bit for bit;
+    coeff_err is a dot product whose last bit depends on array alignment.
+    """
+
+    def _check(self, monkeypatch, d, t, kind, trunc=TruncationConfig()):
+        ecc, c = _off_root(d, t)
+        chunks = []
+        kernel = kapteyn._series_terms
+
+        def spy(kind, tab, lo, hi, ln_c, rho):
+            chunks.append((lo, hi, tab.n_max))
+            return kernel(kind, tab, lo, hi, ln_c, rho)
+
+        monkeypatch.setattr(kapteyn, "_series_terms", spy)
+        sv = kapteyn._eval_series(c, ecc, trunc, DEFAULT_BESSEL_CONFIG, kind)
+        monkeypatch.setattr(kapteyn, "_series_terms", kernel)
+        value, n_used, tail_bound, converged, coeff_err = _whole_table_series(c, ecc, trunc, kind)
+        assert (sv.value, sv.terms_used, sv.tail_bound, sv.converged) == (
+            value, n_used, tail_bound, converged)
+        assert abs(sv.coeff_err - coeff_err) <= 2.0 * math.ulp(coeff_err)
+        # each order's term is computed once, and no chunk starts past the
+        # one that holds the truncation order
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert chunks[0][0] == 0 and chunks[-1][0] < n_used <= chunks[-1][1]
+        assert all(hi - lo <= bessel._DEBYE_CHUNK for lo, hi, _ in chunks)
+        return sv, chunks
+
+    @pytest.mark.parametrize("d", [0.0099, 0.01, 0.02, 0.05, 0.1, 1.0, 100.0, 1e5, 1e8])
+    @pytest.mark.parametrize("t", ["root", 1e-3, 0.5])
+    def test_grid_matches_whole_table(self, monkeypatch, d, t):
+        for kind in ("F", "F1", "F2"):
+            self._check(monkeypatch, d, t, kind)
+
+    def test_stops_in_the_chunk_that_holds_n(self, monkeypatch):
+        # F at the D = 0.01 root stops at 98 838 of a 200 000-order table
+        sv, chunks = self._check(monkeypatch, 0.01, "root", "F")
+        assert sv.converged and sv.terms_used < 131072
+        assert [lo for lo, _, _ in chunks] == [0, 32768, 65536, 98304]
+
+    def test_f1_at_the_cap(self, monkeypatch):
+        sv, chunks = self._check(monkeypatch, 0.0099, 0.5, "F1")
+        assert not sv.converged and sv.terms_used == 200_000 == chunks[-1][1]
+
+    def test_table_grows_mid_walk(self, monkeypatch):
+        # a first table of 131 072 orders, too small for the 139 144 terms
+        # F1 needs at the D = 0.0099 root: the walk goes on in the table of
+        # 200 000 orders from order 131 073, and no order range repeats.
+        # (The prediction never falls short at the default settings: over
+        # D in [0.003, 0.2] N is at most 0.74 of it.)
+        monkeypatch.setattr(kapteyn, "_estimate_terms", lambda *args: 70_000)
+        sv, chunks = self._check(monkeypatch, 0.0099, "root", "F1")
+        assert sv.converged and sv.terms_used == 139_144
+        assert [(lo, n_max) for lo, _, n_max in chunks] == [
+            (0, 131072), (32768, 131072), (65536, 131072), (98304, 131072), (131072, 200000)]
+
+    def test_verify_small_d_call(self, monkeypatch):
+        # the 4M-order walk of verify's small-D check, at the D = 1e-3 root
+        trunc = TruncationConfig(abs_tol=1e-5, max_terms=4_000_000)
+        try:
+            for kind in ("F", "F1", "F2"):
+                sv, chunks = self._check(monkeypatch, 1e-3, "root", kind, trunc)
+                assert sv.converged and chunks[-1][2] == 4_000_000
+        finally:
+            bessel._diagonal_table_cached.cache_clear()
+
+    @pytest.mark.parametrize("eps", [0.05, 0.35, 0.8, 0.95, 0.995])
+    def test_trig_sums_match_whole_table(self, eps):
+        ecc = Eccentricity.from_eps(eps)
+        for e_val in (0.05, 1.0, 2.0, 3.0):
+            assert eval_trig_sums(e_val, ecc) == _whole_table_trig(e_val, ecc, TruncationConfig())
+        capped = TruncationConfig(max_terms=40)
+        for fn in (eval_trig_sums, _whole_table_trig):
+            with pytest.raises(MaxTermsExceeded):
+                fn(1.0, Eccentricity.from_eps(0.65), capped)
+
+    def test_f_exceeds_decisions_match_whole_table(self):
+        trunc = TruncationConfig()
+        seen = set()
+        for d in (0.01, 0.05, 0.1, 1.0, 100.0, 1e5, 1e8):
+            ecc = Eccentricity.from_D(d)
+            target = 2.0 * (d + 1.0) / d
+            points = [ecc.g + m * (1.0 - ecc.g) for m in (2e-6, 1.25e-6)]
+            points += [_off_root(d, t)[1] for t in (1e-3, 0.1, 0.5, "root")]
+            for c in points:
+                for tgt in (target, 0.5 * target, 2.0 * target, 1e3 * target):
+                    decision = solver._f_exceeds(c, ecc, trunc, DEFAULT_BESSEL_CONFIG, tgt)
+                    assert decision is _whole_table_f_exceeds(c, ecc, trunc, tgt), (d, c, tgt)
+                    seen.add(decision)
+        assert seen == {True, False, None}
