@@ -207,10 +207,11 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
 
     The correction series is summed adaptively: terms are added while they
     decrease in magnitude and the first non-decreasing term is taken as the
-    error estimate (standard practice for asymptotic series).
+    error estimate (standard practice for asymptotic series).  Every Debye
+    value of the package comes from its kernel ``_debye_chunk``.
 
-    The orders are evaluated in chunks of ``_DEBYE_CHUNK``, so the temporaries
-    stay bounded however many orders are asked for.  Every step is
+    The orders are evaluated in chunks of ``_DEBYE_CHUNK``, so the kernel's
+    buffers stay bounded however many orders are asked for.  Every step is
     elementwise, so the chunking does not change any value.
     """
     s, lng_hi, lng_lo, t = _eps_geometry(eps)
@@ -243,53 +244,43 @@ def _debye_poly_values(t: float):
 
 def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
     """One chunk of ``_debye_batch``: float orders n, with the geometry of eps
-    and the U_k, V_k values at t already evaluated."""
+    and the U_k, V_k values at t already evaluated.
+
+    Row 0 of each buffer sums U_k/n^k, row 1 V_k/n^k.  A lane stops at the
+    first term T_k with |T_k| >= |T_{k-1}| and keeps |T_k| as its error; a
+    lane still active after ``_DEBYE_TERMS`` keeps its last term.  The stop
+    test, the error capture and the sum run through ufunc ``out=``/``where=``
+    on buffers allocated once, so the loop indexes nothing by mask.
+    """
     inv_n = 1.0 / n
-    shape = n.shape
-
-    sum_u = np.ones(shape)
-    sum_v = np.ones(shape)
-    act_u = np.ones(shape, dtype=bool)
-    act_v = np.ones(shape, dtype=bool)
-    err_u = np.zeros(shape)
-    err_v = np.zeros(shape)
-    prev_u = np.ones(shape)
-    prev_v = np.ones(shape)
-    powk = np.ones(shape)
-
+    shape = (2, len(n))
+    coef = np.stack([u_vals, v_vals])[:, :, None]
+    acc, a_prev = np.ones(shape), np.ones(shape)
+    err, term, a = np.zeros(shape), np.empty(shape), np.empty(shape)
+    act, stop = np.ones(shape, dtype=bool), np.empty(shape, dtype=bool)
+    powk = np.ones(len(n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, _DEBYE_TERMS + 1):
-            powk = powk * inv_n
-            term_u = u_vals[k] * powk
-            term_v = v_vals[k] * powk
-            au = np.abs(term_u)
-            av = np.abs(term_v)
+            np.multiply(powk, inv_n, out=powk)
+            np.multiply(coef[:, k], powk, out=term)
+            np.abs(term, out=a)
+            np.greater_equal(a, a_prev, out=stop)
+            np.logical_and(stop, act, out=stop)
+            np.copyto(err, a, where=stop)
+            np.logical_xor(act, stop, out=act)  # stop is a subset of act
+            np.add(acc, term, out=acc, where=act)
+            a, a_prev = a_prev, a
+    np.copyto(err, a_prev, where=act)
+    del term, a, a_prev, stop  # the prefactors' temporaries then reuse their memory
 
-            stop_u = act_u & (au >= np.abs(prev_u))
-            err_u[stop_u] = au[stop_u]
-            act_u &= ~stop_u
-            sum_u[act_u] += term_u[act_u]
-            prev_u = np.where(act_u, term_u, prev_u)
-
-            stop_v = act_v & (av >= np.abs(prev_v))
-            err_v[stop_v] = av[stop_v]
-            act_v &= ~stop_v
-            sum_v[act_v] += term_v[act_v]
-            prev_v = np.where(act_v, term_v, prev_v)
-
-    err_u[act_u] = np.abs(prev_u[act_u])
-    err_v[act_v] = np.abs(prev_v[act_v])
-
-    pref_j = _exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * s * n))
-    pref_jp = _exp_n_lng(n, lng_hi, lng_lo, 0.5 * (math.log(s) - np.log(2.0 * math.pi * n)))
+    extra = np.stack([-0.5 * np.log(2.0 * math.pi * s * n),
+                      0.5 * (math.log(s) - np.log(2.0 * math.pi * n))])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        j = pref_j * sum_u
-        jp = pref_jp * sum_v / eps
-        rel_j = err_u / np.abs(sum_u) + _DEBYE_FLOOR
-        rel_jp = err_v / np.abs(sum_v) + _DEBYE_FLOOR
-    rel_j = np.where(np.isfinite(rel_j), rel_j, np.inf)
-    rel_jp = np.where(np.isfinite(rel_jp), rel_jp, np.inf)
-    return j, jp, rel_j, rel_jp
+        j, jp = _exp_n_lng(n, lng_hi, lng_lo, extra) * acc  # prefactors of J and J'
+        jp /= eps
+        rel = err / np.abs(acc) + _DEBYE_FLOOR
+    rel[~np.isfinite(rel)] = np.inf
+    return j, jp, rel[0], rel[1]
 
 
 def _debye_scalar(n: int, eps: float):
@@ -644,11 +635,27 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
         c = np.polynomial.chebyshev.chebfit(xm[:k], f[:k], k - 1)
         keep = np.nonzero(np.abs(c) > 1e-15 * np.abs(c).max())[0]
         c = c[: keep[-1] + 1] if len(keep) else c[:1]
-        agree = np.max(np.abs(np.polynomial.chebyshev.chebval(xm[k:], c) / f[k:] - 1.0),
+        agree = np.max(np.abs(_clenshaw(xm[k:], c) / f[k:] - 1.0),
                        initial=0.0)
         coefs.append(c)
         envelopes.append(_INTERP_SAFETY * max(float(agree), _SEED_REL_ERR))
     return (a, b, *coefs, *envelopes)
+
+
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(x), with numpy's ``chebval`` steps in its order, in place.
+
+    Each step is tmp = c1*x2; tmp = c0 + tmp; c0 = c[-i] - c1; swap(c1, tmp),
+    so the result equals ``chebval``'s bit for bit, without its temporaries.
+    """
+    c0 = np.full(x.shape, c[-2] if len(c) > 1 else c[0])
+    c1 = np.full(x.shape, c[-1] if len(c) > 1 else 0.0)
+    x2, tmp = 2.0 * x, np.empty(x.shape)
+    for ci in c[-3::-1]:
+        np.add(c0, np.multiply(c1, x2, out=tmp), out=tmp)
+        np.subtract(ci, c1, out=c0)
+        c1, tmp = tmp, c1
+    return np.add(c0, np.multiply(c1, x, out=c1), out=c0)
 
 
 def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
@@ -657,10 +664,9 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
     Returns (j, jp, rel_j, rel_jp), the last two the band's error envelopes
     (floats).  A band of no more orders than the fit would take anchors is
     served by ``_diag_point`` at each order; a longer one by the anchored
-    interpolant.  Like ``_debye_batch``, the fit is evaluated in chunks of
-    ``_DEBYE_CHUNK`` orders: chebval's temporaries then stay in cache, which
-    makes it several times faster on long bands, and every step is
-    elementwise, so no value changes.
+    interpolant, summed by ``_clenshaw`` in chunks of ``_DEBYE_CHUNK`` orders
+    (its buffers then stay in cache; every step is elementwise, so the
+    chunking changes no value).
     """
     if n_hi - n_lo < _anchor_count(n_lo, n_hi):
         pts = np.array([_diag_point(eps, int(n)) for n in n_arr]).reshape(-1, 2)
@@ -675,8 +681,8 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
         n = n_arr[sl].astype(np.float64)
         xm = (2.0 * np.log(n) - (a + b)) / (b - a)
         pref = _exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * n))
-        j[sl] = np.polynomial.chebyshev.chebval(xm, coef_d) * pref / math.sqrt(s)
-        jp[sl] = np.polynomial.chebyshev.chebval(xm, coef_dp) * pref * math.sqrt(s) / eps
+        j[sl] = _clenshaw(xm, coef_d) * pref / math.sqrt(s)
+        jp[sl] = _clenshaw(xm, coef_dp) * pref * math.sqrt(s) / eps
     return j, jp, rel_j, rel_jp
 
 

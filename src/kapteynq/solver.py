@@ -89,22 +89,25 @@ def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     All folded terms are positive for real C in (g, 1], so a partial sum
     crossing the target is a proof; full convergence below the target is a
     disproof; hitting the cap undecided returns None.  Both are decided at
-    the end of each chunk of the walk.
+    the end of each chunk of the walk.  A term whose cosh overflowed is
+    dropped: as NaN where the table holds J = 0, as inf where J > 0.  An inf
+    term is a term lost, so after one the partial sums still prove True but
+    can no longer disprove.
     """
     ln_c = math.log(C)
-    total = 1.0
+    total, lost = 1.0, False
     for tab, lo, hi in _walk(ecc, 1024, trunc, bcfg):
         n = np.arange(lo + 1.0, hi + 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             chunk = 2.0 * tab.j[lo:hi] * np.cosh(n * ln_c)
-            # far past the decayed tail, underflowed J times overflowed cosh
-            # yields NaN for terms that are morally zero; drop them
+        if not np.isfinite(chunk).all():
+            lost = lost or bool(np.isinf(chunk).any())
             chunk = np.where(np.isfinite(chunk), chunk, 0.0)
         total += float(np.cumsum(chunk)[-1])  # the running partial sum, added in order
         if total > target:
             return True
         tail = float(chunk[-1]) * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
-        if tail <= trunc.abs_tol and total + tail <= target:
+        if not lost and tail <= trunc.abs_tol and total + tail <= target:
             return False
     return None
 

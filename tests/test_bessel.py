@@ -363,6 +363,117 @@ class TestDiagonalTable:
         assert kapteyn_coeff(1000, 0.3) == 0.0
 
 
+def _masked_debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
+    """The Debye kernel as first written, with boolean-mask updates: the
+    reference the buffered kernel must match bit for bit."""
+    inv_n = 1.0 / n
+    shape = n.shape
+    sum_u, sum_v = np.ones(shape), np.ones(shape)
+    act_u, act_v = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+    err_u, err_v = np.zeros(shape), np.zeros(shape)
+    prev_u, prev_v = np.ones(shape), np.ones(shape)
+    powk = np.ones(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, bessel._DEBYE_TERMS + 1):
+            powk = powk * inv_n
+            term_u = u_vals[k] * powk
+            term_v = v_vals[k] * powk
+            au, av = np.abs(term_u), np.abs(term_v)
+            stop_u = act_u & (au >= np.abs(prev_u))
+            err_u[stop_u] = au[stop_u]
+            act_u &= ~stop_u
+            sum_u[act_u] += term_u[act_u]
+            prev_u = np.where(act_u, term_u, prev_u)
+            stop_v = act_v & (av >= np.abs(prev_v))
+            err_v[stop_v] = av[stop_v]
+            act_v &= ~stop_v
+            sum_v[act_v] += term_v[act_v]
+            prev_v = np.where(act_v, term_v, prev_v)
+    err_u[act_u] = np.abs(prev_u[act_u])
+    err_v[act_v] = np.abs(prev_v[act_v])
+    pref_j = bessel._exp_n_lng(n, lng_hi, lng_lo, -0.5 * np.log(2.0 * math.pi * s * n))
+    pref_jp = bessel._exp_n_lng(n, lng_hi, lng_lo, 0.5 * (math.log(s) - np.log(2.0 * math.pi * n)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        j = pref_j * sum_u
+        jp = pref_jp * sum_v / eps
+        rel_j = err_u / np.abs(sum_u) + bessel._DEBYE_FLOOR
+        rel_jp = err_v / np.abs(sum_v) + bessel._DEBYE_FLOOR
+    rel_j = np.where(np.isfinite(rel_j), rel_j, np.inf)
+    rel_jp = np.where(np.isfinite(rel_jp), rel_jp, np.inf)
+    return j, jp, rel_j, rel_jp
+
+
+def _masked_debye_batch(n_arr, eps):
+    s, lng_hi, lng_lo, t = bessel._eps_geometry(eps)
+    return _masked_debye_chunk(n_arr.astype(np.float64), eps, s, lng_hi, lng_lo,
+                               *bessel._debye_poly_values(t))
+
+
+def _same_bits(a, b):
+    """Equal bit patterns, any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+# eps from 1e-6 (for eps <= 1e-3, J_n(n eps) underflows to 0 before order
+# 120) to 0.99995, and 1 - 1e-13, where t = 1/s passes 1.4e6 and U_16 and
+# V_16 overflow to inf
+_BIT_EPS = [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99,
+            0.995, 0.999, 0.9999, 0.99995, 1.0 - 1e-13]
+
+
+class TestBitIdentity:
+    """The buffered Debye kernel and the in-place Clenshaw reproduce the
+    masked kernel and numpy's ``chebval`` bit for bit."""
+
+    @pytest.mark.parametrize("eps", _BIT_EPS)
+    def test_debye_batch_matches_masked_kernel(self, eps):
+        rng = np.random.default_rng(int(eps * 1e6))
+        for n_arr in (np.arange(1, 5000, dtype=np.int64),
+                      rng.integers(1, 10**7, 3000),  # unsorted
+                      np.array([2001, 40_000, 8_000_000]),
+                      np.array([37])):
+            for got, ref in zip(bessel._debye_batch(n_arr, eps), _masked_debye_batch(n_arr, eps)):
+                assert _same_bits(got, ref), (eps, len(n_arr))
+
+    def test_grid_covers_underflow_and_overflow(self):
+        j, _, _, _ = bessel._debye_batch(np.arange(1, 5000, dtype=np.int64), 1e-3)
+        assert (j == 0.0).any()
+        u, v = bessel._debye_poly_values(bessel._eps_geometry(_BIT_EPS[-1])[3])
+        assert np.isinf(u).any() and np.isinf(v).any()
+
+    @pytest.mark.parametrize("eps", [0.3, 0.99])
+    def test_batch_longer_than_a_chunk(self, eps):
+        n_arr = np.random.default_rng(5).permutation(
+            np.arange(1, bessel._DEBYE_CHUNK + 4001, dtype=np.int64))
+        for got, ref in zip(bessel._debye_batch(n_arr, eps), _masked_debye_batch(n_arr, eps)):
+            assert _same_bits(got, ref)
+
+    def test_debye_seeded_points_match_masked_kernel(self, monkeypatch):
+        cases = [(0.9759, 2500), (0.995, 20_296), (0.99, 3000)]
+        got = [bessel._diag_point(eps, n) for eps, n in cases]
+        monkeypatch.setattr(bessel, "_debye_chunk", _masked_debye_chunk)
+        assert got == [bessel._diag_point(eps, n) for eps, n in cases]
+
+    @pytest.mark.parametrize("D,b_hi", [(0.001, 1_577_410), (0.01, 50_285), (0.02, 17_937),
+                                        (0.05, 4_658), (0.0898, 2_001)])
+    def test_band_hi_unchanged(self, D, b_hi, monkeypatch):
+        eps = 1.0 / math.sqrt(1.0 + D)
+        assert bessel._band_hi.__wrapped__(eps, DEFAULT_BESSEL_CONFIG) == b_hi
+        monkeypatch.setattr(bessel, "_debye_batch", _masked_debye_batch)
+        assert bessel._band_hi.__wrapped__(eps, DEFAULT_BESSEL_CONFIG) == b_hi
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 16, 39, 81])
+    def test_clenshaw_matches_chebval(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(4):
+            c = rng.standard_normal(length) * np.geomspace(1.0, 1e-15, length)
+            x = np.concatenate([rng.uniform(-1.0, 1.0, 1000), [-1.0, -0.0, 0.0, 1.0]])
+            assert _same_bits(bessel._clenshaw(x, c), np.polynomial.chebyshev.chebval(x, c))
+
+
 def _built_fresh(eps, sizes):
     """Copies of the arrays of diagonal_table(eps, n) for each n in sizes,
     built in that order from an empty cache."""

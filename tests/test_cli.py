@@ -4,16 +4,33 @@
 created), 3 a numerical failure.
 """
 
+import copy
 import json
+import re
 
 import pytest
 
 from kapteynq import cli
+from kapteynq.verify import verification_passed
 
 
 @pytest.fixture
 def out(tmp_path):
     return tmp_path / "report.json"
+
+
+def _runs(argv, path, times=2):
+    """The bytes written by ``times`` in-process runs, runtime_ms zeroed."""
+    texts = []
+    for _ in range(times):
+        assert cli.main(argv + ["--format", "json", "--out", str(path)]) == 0
+        texts.append(re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', path.read_text()))
+    return texts
+
+
+@pytest.fixture(scope="module")
+def verify_runs(tmp_path_factory):
+    return _runs(["verify"], tmp_path_factory.mktemp("verify") / "report.json")
 
 
 def test_solve_exits_0(out):
@@ -89,3 +106,31 @@ def test_sweep_exits_0_when_every_row_converges(out):
     argv = ["sweep", "--d-min", "0.5", "--d-max", "2", "--points", "3", "--out", str(out)]
     assert cli.main(argv) == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("d", ["1", "0.05"])
+def test_solve_json_is_byte_stable(d, out):
+    first, second = _runs(["solve", "--d", d], out)
+    assert first == second
+
+
+def test_verify_json_is_byte_stable(verify_runs):
+    first, second = verify_runs
+    assert first == second
+    assert '"runtime_ms": 0' in first
+
+
+def test_verification_passed_reads_every_part_of_a_real_report(verify_runs):
+    report = json.loads(verify_runs[0])
+    assert verification_passed(report)
+    parts = [("results", name) for name in report["results"]]
+    parts += [(name,) for name, val in report.items()
+              if isinstance(val, dict) and "passed" in val]
+    assert len(parts) == len(report["results"]) + 4
+    for path in parts:
+        broken = copy.deepcopy(report)
+        part = broken
+        for key in path:
+            part = part[key]
+        part["passed"] = False
+        assert not verification_passed(broken), path

@@ -389,20 +389,21 @@ def _whole_table_trig(E, ecc, trunc):
 
 def _whole_table_f_exceeds(C, ecc, trunc, target):
     ln_c = math.log(C)
-    total, size, start = 1.0, 1024, 0
+    total, size, start, lost = 1.0, 1024, 0, False
     while True:
         size = min(size, trunc.max_terms)
         tab = bessel.diagonal_table(ecc.eps, size)
         n = np.arange(start + 1.0, size + 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             chunk = 2.0 * tab.j[start:size] * np.cosh(n * ln_c)
-            chunk = np.where(np.isfinite(chunk), chunk, 0.0)
+        lost = lost or bool(np.isinf(chunk).any())  # J > 0 times an overflowed cosh
+        chunk = np.where(np.isfinite(chunk), chunk, 0.0)
         running = total + np.cumsum(chunk)
         if bool(np.any(running > target)):
             return True
         total = float(running[-1])
         tail = float(chunk[-1]) * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
-        if tail <= trunc.abs_tol and total + tail <= target:
+        if not lost and tail <= trunc.abs_tol and total + tail <= target:
             return False
         if size >= trunc.max_terms:
             return None

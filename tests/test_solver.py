@@ -5,10 +5,12 @@ import math
 import pytest
 
 from kapteynq import closed_C, closed_C1, closed_C2_paper
+from kapteynq.bessel import DEFAULT_BESSEL_CONFIG
 from kapteynq.errors import DegenerateF1
 from kapteynq.kapteyn import Eccentricity, TruncationConfig, domain_floor, eval_F
 from kapteynq.solver import (
     Problem,
+    _f_exceeds,
     residuals,
     solve_C1_numeric,
     solve_C2_numeric,
@@ -73,6 +75,17 @@ class TestSolveC:
         assert not diag["converged"]
         assert "MaxTermsExceeded" in diag["reason"]
         assert math.isfinite(c)
+
+
+class TestFExceeds:
+    def test_no_disproof_after_an_overflowed_term(self):
+        # near g at D = 0.05 the last 777 of 200 000 terms are J > 0 times an
+        # overflowed cosh (about 0.0019 each); F is below 42 000 (the oracle
+        # gives 17 914), but a sum that dropped them cannot prove it
+        ecc = Eccentricity.from_D(0.05)
+        c = ecc.g + 2e-6 * (1.0 - ecc.g)
+        assert _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 42_000.0) is None
+        assert _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 50.0) is True
 
 
 class TestSolveC1C2:
