@@ -1,33 +1,33 @@
 """Bessel functions J_n and J_n' for integer order, tuned for Kapteyn sums.
 
-Three evaluation paths, selected per (n, x):
+The evaluation paths:
 
 * ascending power series for x <= 2 (A&S 9.1.10);
 * Miller backward recurrence with the even-order normalization
-  J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.12, Numerical Recipes style) for
-  moderate orders;
+  J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.12, Numerical Recipes style): for
+  the diagonal tables' orders up to a configurable crossover order, as one
+  lockstep vector kernel over all of them (``_miller_diag_block``), and for
+  ``bessel_j``/``bessel_j_prime`` at a general argument (``_miller_scalar``);
 * Debye uniform large-order expansion of J_nu(nu*sech(alpha)) and its
-  derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) above a configurable
-  crossover order.
-
-The diagonal tables J_n(n*eps) run the Miller recurrence as one lockstep
-vector kernel over all their orders at once (``_miller_diag_block``).
+  derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) above the crossover;
+* a Debye-seeded ladder (``_seeded_ladder``) for any array of diagonal
+  orders n with n*eps > 2 that the other paths do not serve.
 
 The Debye expansion is asymptotic: its attainable accuracy at order n is
 limited by the smallest term of the correction series, which degrades as
-eps -> 1.  At a fixed argument it improves quickly with the order, so a
-single order n that Debye cannot serve is seeded by Debye a few hundred
-orders higher and carried down by a short backward recurrence
-(``_diag_point``, whose cost does not grow with n).  The orders above the
+eps -> 1.  At a fixed argument it improves quickly with the order, so
+``_seeded_ladder`` seeds each order n by Debye a short way higher, at its own
+argument, and carries all of them down at once by the backward recurrence
+(DLMF 10.6.1), with a cost that does not grow with n.  The orders above the
 crossover where the expansion cannot reach the requested tolerance form a
 band crossover+1..b_hi that eps alone decides (``_band_hi``).  The table
-builder always interpolates the band along the diagonal n -> J_n(n*eps),
-with a Chebyshev fit anchored on ``_diag_point`` values and fitted once per
-band; a band of fewer orders than the fit has anchors takes ``_diag_point``
-at each order, and scalar calls use ``_diag_point`` directly.  The fit
-measures its own error against ``_diag_point`` between its nodes.  Every
-returned value carries a per-order relative error estimate so downstream
-series can report honest tail bounds.
+builder interpolates the band along the diagonal n -> J_n(n*eps) with a
+Chebyshev fit, fitted once per band on anchors that one ladder call
+computes, and measures the fit's error against the ladder between its
+nodes; a band of fewer orders than the fit has anchors takes the ladder at
+each order, and ``kapteyn_coeff*`` take it for one order.  Every returned
+value carries a per-order relative error estimate so downstream series can
+report honest tail bounds.
 
 Every path is elementwise in n, so a table value depends on (eps, n, config)
 only.  Tables grow by extension: a larger table at the same eps copies the
@@ -172,11 +172,7 @@ def _eps_geometry(eps: float):
     relative accuracy at large n.  Computing it with stdlib decimal at 40
     digits and keeping a two-double split removes that floor.
     """
-    return _decimal_geometry(decimal.Decimal(eps))
-
-
-def _decimal_geometry(e: decimal.Decimal):
-    """``_eps_geometry`` for eps given as a Decimal, which need not be a double."""
+    e = decimal.Decimal(eps)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         s_d = ((1 - e) * (1 + e)).sqrt()
@@ -187,14 +183,15 @@ def _decimal_geometry(e: decimal.Decimal):
     return s, hi, lo, 1.0 / s
 
 
-def _exp_n_lng(n: np.ndarray, hi: float, lo: float, extra: np.ndarray) -> np.ndarray:
-    """exp(n*lng + extra) with the n*lng product kept exact to ~1 ulp.
+def _exp_n_lng(n: np.ndarray, hi, lo, extra: np.ndarray) -> np.ndarray:
+    """exp(n*lng + extra) with the n*lng product kept exact to ~1 ulp; lng =
+    hi + lo is one float pair, or one per lane.
 
     The high part of lng is truncated to 26 mantissa bits so that n*hi1 is an
     exact double for integer n < 2**26; the residual is small enough that its
     rounding is harmless.
     """
-    hi1 = math.ldexp(round(math.ldexp(hi, 26)), -26)
+    hi1 = np.ldexp(np.rint(np.ldexp(hi, 26)), -26)
     hi2 = hi - hi1
     a = n * hi1
     b = n * hi2 + n * lo + extra
@@ -227,24 +224,30 @@ def _debye_batch(n_arr: np.ndarray, eps: float):
     return out
 
 
-def _debye_poly_values(t: float):
+def _debye_poly_values(t):
     """U_k(t) and V_k(t), k = 0.._DEBYE_TERMS, by one Horner pass over all 34.
 
-    The padding keeps a polynomial's running value at 0 until its leading
-    coefficient, so each one takes the steps of its own float64 Horner loop,
-    bit for bit.  Overflow saturates to inf, which the caller handles.
+    t is one float, or an array with one t per lane; then row k of each
+    result holds U_k (V_k) of every lane.  The padding keeps a polynomial's
+    running value at 0 until its leading coefficient, so each one takes the
+    steps of its own float64 Horner loop, bit for bit.  Overflow saturates to
+    inf, which the caller handles.
     """
-    acc = np.zeros(_POLY_ROWS.shape[1])
+    acc = np.zeros(_POLY_ROWS.shape[1:] + np.shape(t))
+    rows = _POLY_ROWS.reshape(_POLY_ROWS.shape + (1,) * np.ndim(t))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in _POLY_ROWS:
+        for row in rows:
             acc *= t
             acc += row
     return acc[: _DEBYE_TERMS + 1], acc[_DEBYE_TERMS + 1:]
 
 
 def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
-    """One chunk of ``_debye_batch``: float orders n, with the geometry of eps
-    and the U_k, V_k values at t already evaluated.
+    """Debye values of J_n(n*eps) and J_n'(n*eps) at float orders n, with the
+    geometry (s, ln g split hi/lo) and the U_k, V_k values at t = 1/s already
+    evaluated: one chunk of ``_debye_batch``, or one eccentricity per lane
+    (eps, s, lng_hi, lng_lo arrays and U_k, V_k from ``_debye_poly_values``
+    of an array t), as for the seeds of ``_seeded_ladder``.
 
     Row 0 of each buffer sums U_k/n^k, row 1 V_k/n^k.  A lane stops at the
     first term T_k with |T_k| >= |T_{k-1}| and keeps |T_k| as its error; a
@@ -254,7 +257,7 @@ def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
     """
     inv_n = 1.0 / n
     shape = (2, len(n))
-    coef = np.stack([u_vals, v_vals])[:, :, None]
+    coef = np.stack([u_vals, v_vals]).reshape(2, _DEBYE_TERMS + 1, -1)
     acc, a_prev = np.ones(shape), np.ones(shape)
     err, term, a = np.zeros(shape), np.empty(shape), np.empty(shape)
     act, stop = np.ones(shape, dtype=bool), np.empty(shape, dtype=bool)
@@ -273,8 +276,11 @@ def _debye_chunk(n, eps, s, lng_hi, lng_lo, u_vals, v_vals):
     np.copyto(err, a_prev, where=act)
     del term, a, a_prev, stop  # the prefactors' temporaries then reuse their memory
 
+    # math.log of one s keeps the table's bits: numpy's log may differ from
+    # it in the last bit
+    ln_s = np.log(s) if np.ndim(s) else math.log(s)
     extra = np.stack([-0.5 * np.log(2.0 * math.pi * s * n),
-                      0.5 * (math.log(s) - np.log(2.0 * math.pi * n))])
+                      0.5 * (ln_s - np.log(2.0 * math.pi * n))])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         j, jp = _exp_n_lng(n, lng_hi, lng_lo, extra) * acc  # prefactors of J and J'
         jp /= eps
@@ -464,117 +470,177 @@ def _split26(v):
     return hi, v - hi
 
 
-def _shift_to_exact_x(eps: float, n_lo: int, j: np.ndarray, jp: np.ndarray):
-    """Move recurrence values for orders n_lo, n_lo + 1, ... to x = n*eps.
+def _two_prod(a, b):
+    """(p, err) with p = fl(a*b) and p + err = a*b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split26(a)
+    b_hi, b_lo = _split26(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
-    The recurrences (the Miller block and ``_diag_point``) use the coefficient
-    2k * fl(1 / fl(n*eps)), so they compute J and J' at
+
+def _two_sum(a, b):
+    """(s, err) with s = fl(a+b) and s + err = a+b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _shift_to_exact_x(eps: float, n: np.ndarray, j: np.ndarray, jp: np.ndarray):
+    """Move recurrence values at the float orders n to x = n*eps.
+
+    The recurrences (the Miller block and ``_seeded_ladder``) use the
+    coefficient 2k * fl(1 / fl(n*eps)), so they compute J and J' at
     x' = 1 / fl(1 / fl(n*eps)), up to two roundings away from n*eps.  Along
     the diagonal d ln J / d ln x is about n*s, so this costs up to
     ~2.2e-16 * n*s of relative accuracy: past the Miller envelope already in
-    the Miller region at eps = 0.6 (2.2e-13 at n = 1889) and in the direct
-    band (4.6e-13), and 1e-12 at an anchor at n = 400000, eps = 0.9995.
+    the Miller region at eps = 0.6 (2.2e-13 at n = 1889), and 1e-12 at an
+    anchor at n = 400000, eps = 0.9995.
     x - x' is formed from error-free products, and J, J' are moved by one
     Taylor step each, with J'' from Bessel's equation.
     """
-    n = np.arange(n_lo, n_lo + len(j), dtype=np.float64)
     inv_x = 1.0 / (n * eps)  # as in _miller_diag_block
     # n*eps*inv_x - 1 = (x - x') / x': n*e1 is exact, and the rounding of
     # p = n*e1*inv_x is recovered by Dekker's product
     e1 = math.ldexp(round(math.ldexp(eps, 26)), -26)
     a = n * e1
-    p = a * inv_x
-    a_hi, a_lo = _split26(a)
-    b_hi, b_lo = _split26(inv_x)
-    p_err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    p, p_err = _two_prod(a, inv_x)
     dx = ((p - 1.0) + p_err + n * (eps - e1) * inv_x) / inv_x
     jpp = -jp * inv_x - (1.0 - (n * inv_x) ** 2) * j
     return j + dx * jp, jp + dx * jpp
 
 
-def _miller_diag_scalar(n: int, eps: float):
-    """(J_n(n eps), J_n'(n eps)) by ``_miller_scalar``, moved to the exact n*eps.
-
-    ``_miller_scalar`` runs at x = fl(n*eps), which costs up to ~1.1e-16 * n*s
-    of relative accuracy (1.2e-13 at eps = 0.6, n = 1889).  dx = n*eps - x is
-    formed exactly, and J, J' are moved by one Taylor step each, with J'' from
-    Bessel's equation, as ``_shift_to_exact_x`` does for the tables.
-    """
-    x = n * eps
-    vals = _miller_scalar(x, (n - 1, n, n + 1))
-    j = vals[n]
-    jp = 0.5 * (vals[n - 1] - vals[n + 1])
-    dx = float(Fraction(n) * Fraction(eps) - Fraction(x))
-    jpp = -jp / x - (1.0 - (n / x) ** 2) * j
-    return j + dx * jp, jp + dx * jpp
-
-
-# Debye's own error estimate the seed of ``_diag_point`` must meet, and the
+# Debye's own error estimate a seed of ``_seeded_ladder`` must meet, and the
 # size of its expansion parameter, m*(1 - (x/m)^2)^(3/2), to try first.
 _SEED_REL_ERR = 1e-14
 _SEED_Z = 80.0
+# ln 2 split so that k * _LN2_HI is exact for small integers k (fdlibm)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+# 2 atanh(u) - 2u = 2u^3 sum_j u^(2j) / (2j + 3): its coefficients, highest
+# power first, enough for |u| <= 3 - 2 sqrt(2)
+_ATANH_TAIL = 1.0 / np.arange(27.0, 2.0, -2.0)
 
 
-def _debye_seed(inv_x: float, n: int):
-    """(m, J_m(x), J_m'(x)) at x = 1/inv_x by Debye, for an order m > n.
+def _seed_geometry(m, ih, il):
+    """(e, s, ln g hi, ln g lo) per lane for order m at x' = 1/(ih + il).
 
-    At fixed x the expansion improves quickly with the order: its parameter
-    m*(1 - (x/m)^2)^(3/2) grows with m.  m - n starts at the smallest value
-    that puts the parameter at ``_SEED_Z`` and doubles until the expansion's
-    own estimate meets ``_SEED_REL_ERR``.  The eccentricity x/m is formed in
-    40-digit decimal, since a double x/m would cost up to m*s*1.1e-16 of
-    relative accuracy through the exponent m*ln g.
+    The eccentricity is e = x'/m, and 1/e = m*ih + m*il exactly (m has at
+    most 26 bits, as ih and il do).  ln g = s - atanh(s) multiplies m inside
+    an exponential, where a double ln g would cost m*|ln g|*1e-16 of relative
+    accuracy (3e-14 at order 2000 and eps = 0.7), so s = sqrt(1 - e^2) and
+    atanh(s) = ln((1 + s)/e) are carried in double-double (Dekker products,
+    Knuth sums).  The logarithm is k ln 2 + 2 atanh(u), u = (f - 1)/(f + 1)
+    for the mantissa f of (1 + s)/e in [1/sqrt(2), sqrt(2)).
     """
-    x = 1.0 / inv_x
+    mh, c = m * ih, m * il
+    p, p_lo = _two_sum(mh, c)  # 1/e
+    # 1/e^2 - 1 = (mh - 1)(mh + 1) + c (2 mh + c), both factors exact
+    q, q_lo = _two_prod(mh - 1.0, mh + 1.0)
+    q, q_lo = _two_sum(q, q_lo + c * (2.0 * mh + c))
+    r = np.sqrt(q)  # r + r_lo = s/e
+    sq, sq_lo = _two_prod(r, r)
+    r_lo = ((q - sq) - sq_lo + q_lo) / (2.0 * r)
+    s = r / p
+    sp, sp_lo = _two_prod(s, p)
+    s_lo = ((r - sp) - sp_lo + r_lo - s * p_lo) / p
+    y, y_lo = _two_sum(p, r)  # (1 + s)/e
+    k = np.floor(np.log2(y * math.sqrt(2.0)))
+    f, f_lo = (np.ldexp(v, -k.astype(np.int64)) for v in (y, y_lo + p_lo + r_lo))
+    num = f - 1.0  # exact
+    den, den_lo = _two_sum(f, 1.0)
+    u = (num + f_lo) / den
+    ud, ud_lo = _two_prod(u, den)
+    u_lo = ((num - ud) - ud_lo + f_lo - u * (den_lo + f_lo)) / den
+    u2 = u * u
+    a, a_lo = _two_sum(k * _LN2_HI, 2.0 * u)  # atanh(s)
+    a, tail_lo = _two_sum(a, 2.0 * u2 * (u + 3.0 * u_lo) * np.polyval(_ATANH_TAIL, u2))
+    w, w_lo = _two_sum(s, -a)
+    w_lo += s_lo - (a_lo + tail_lo + 2.0 * u_lo + k * _LN2_LO)
+    return 1.0 / p, s, *_two_sum(w, w_lo)
 
-    def short(step):
-        m = n + step
-        return m * (1.0 - (x / m) ** 2) ** 1.5 < _SEED_Z
 
-    lo, step = 0, 1
-    while short(step):
-        lo, step = step, 2 * step
-    while step - lo > 1:  # smallest step that is not short
-        mid = (lo + step) // 2
-        if short(mid):
-            lo = mid
-        else:
-            step = mid
-    while True:
-        m = n + step
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            e = 1 / (decimal.Decimal(inv_x) * m)
-        s, lng_hi, lng_lo, t = _decimal_geometry(e)
-        j, jp, rel_j, rel_jp = _debye_chunk(
-            np.array([float(m)]), float(e), s, lng_hi, lng_lo, *_debye_poly_values(t))
-        if max(rel_j[0], rel_jp[0]) <= _SEED_REL_ERR:
-            return m, float(j[0]), float(jp[0])
-        step *= 2
+def _debye_seeds(n, inv_x):
+    """(m, J_m(x'), J_m(x') - J_{m+1}(x')) by Debye at x' = 1/inv_x, per
+    lane, for orders m > n (float arrays); J_{m+1} = (m/x') J_m - J_m'.
+
+    At fixed x' the expansion improves quickly with the order: its parameter
+    m*(1 - (x'/m)^2)^(3/2) grows with m.  m - n starts at the smallest step
+    >= 1 that puts it at ``_SEED_Z`` (m = sqrt(x'^2 + (_SEED_Z m^2)^(2/3)),
+    a fixed point >= 80 where the iteration contracts by 2/3 or more), and
+    doubles in each lane whose expansion misses ``_SEED_REL_ERR``.
+    """
+    x, m = 1.0 / inv_x, n
+    for _ in range(24):
+        m = np.sqrt(x * x + np.cbrt(_SEED_Z * m * m) ** 2)
+    step = np.maximum(1.0, np.ceil(m - n))
+    ih, il = _split26(inv_x)
+    j_m, d_m = np.empty(len(n)), np.empty(len(n))
+    todo = np.arange(len(n))
+    while len(todo):
+        m = n[todo] + step[todo]
+        geometry = _seed_geometry(m, ih[todo], il[todo])
+        j, jp, rel_j, rel_jp = _debye_chunk(m, *geometry, *_debye_poly_values(1.0 / geometry[1]))
+        ok = np.maximum(rel_j, rel_jp) <= _SEED_REL_ERR
+        j_m[todo[ok]] = j[ok]
+        d_m[todo[ok]] = (jp - ((m * ih[todo] - 1.0) + m * il[todo]) * j)[ok]
+        todo = todo[~ok]
+        step[todo] *= 2.0
+    return n + step, j_m, d_m
+
+
+def _seeded_ladder(eps: float, n: np.ndarray):
+    """(J_n(n eps), J_n'(n eps)) for an array of integer orders n, n*eps > 2.
+
+    Each lane is seeded by Debye at its own order m = n + L (``_debye_seeds``)
+    and carried down to n by J_{k-1} = (2k/x') J_k - J_{k+1} at
+    x' = 1 / fl(1 / fl(n*eps)), as in the Miller block, then moved to n*eps
+    by ``_shift_to_exact_x``.  Above the turning point this direction is
+    stable for J and the seeds are absolute, so no normalization sum is
+    needed and the cost does not grow with n.  The lanes run in lockstep,
+    sorted by decreasing L: a lane joins at step L_max - L, so every lane
+    sits at k = n + L_max - i at step i, and only the seeded prefix is
+    stepped.  A lane's value does not depend on the other lanes.
+
+    The recurrence runs in differences, d_k = J_k - J_{k+1}:
+    d_{k-1} = d_k + (2k/x' - 2) J_k, J_{k-1} = J_k + d_{k-1}.  In the form
+    (2k/x') J_k - J_{k+1} each step's rounding reaches J_n amplified by about
+    1/(2 s_k), s_k = sqrt(1 - (x/k)^2): 7e-14 at n = 1e6, D = 0.001, against
+    3e-15 in differences.  With 1/x' = ih + il split in 26-bit halves,
+    2k*ih - 2 is exact and 2k*il is added apart, so 2k/x' is not rounded.
+    """
+    nf = n.astype(np.float64)
+    inv_x = 1.0 / (nf * eps)
+    m, j_m, d_m = _debye_seeds(nf, inv_x)
+    order = np.argsort(nf - m, kind="stable")  # the longest ladders first
+    steps = (m - nf)[order]
+    top = int(steps[0]) if len(n) else 0
+    ih, il = _split26(inv_x[order])
+    k2 = 2.0 * m[order]  # 2k of each lane at its first step
+    j, d, c, t = np.zeros(len(n)), np.zeros(len(n)), np.empty(len(n)), np.empty(len(n))
+    seeded = 0
+    for live in np.searchsorted(-steps, np.arange(top) - top, side="right"):
+        if live > seeded:  # the lanes with L = L_max - i join
+            j[seeded:live], d[seeded:live] = j_m[order[seeded:live]], d_m[order[seeded:live]]
+            seeded = live
+            jv, dv, cv, tv, k2v, ihv, ilv = (a[:live] for a in (j, d, c, t, k2, ih, il))
+        np.multiply(k2v, ihv, out=cv)
+        cv -= 2.0
+        np.multiply(k2v, ilv, out=tv)
+        cv += tv
+        cv *= jv
+        dv += cv
+        jv += dv
+        k2v -= 2.0
+    ns = nf[order]
+    jp = ((ns * ih - 1.0) + ns * il) * j + d  # J_n' = (n/x' - 1) J_n + d_n
+    out_j, out_jp = np.empty(len(n)), np.empty(len(n))
+    out_j[order], out_jp[order] = j, jp
+    return _shift_to_exact_x(eps, nf, out_j, out_jp)
 
 
 def _diag_point(eps: float, n: int):
-    """(J_n(n eps), J_n'(n eps)) for one order n where n*eps > 2.
-
-    Debye seeds J_m and J_{m+1} at an order m a few hundred above n (see
-    ``_debye_seed``), and J_{k-1} = (2k/x) J_k - J_{k+1} carries them down
-    to n.  Above the turning point this direction is stable for J, and the
-    seeds are absolute values, so no normalization sum is needed: the cost
-    does not grow with n.  Like the Miller block, the ladder runs at
-    x' = 1 / fl(1 / fl(n*eps)), and the result is moved to n*eps by
-    ``_shift_to_exact_x``.  The coefficient 2k/x' is not rounded: with
-    1/x' = ih + il split in 26-bit halves, 2k*ih is exact, and 2k*il*J_k is
-    added apart.  A rounded coefficient costs up to 8e-14 near the diagonal,
-    where the ladder amplifies it by about 1/sqrt(1 - (x/k)^2).
-    """
-    inv_x = 1.0 / (n * eps)
-    ih, il = _split26(inv_x)
-    m, j_m, jp_m = _debye_seed(inv_x, n)
-    j_hi, j_mid = m * inv_x * j_m - jp_m, j_m  # J_{k+1}, J_k at k = m
-    for k in range(m, n, -1):
-        j_hi, j_mid = j_mid, (2.0 * k * ih * j_mid - j_hi) + 2.0 * k * il * j_mid
-    jp = (n * ih * j_mid - j_hi) + n * il * j_mid
-    j, jp = _shift_to_exact_x(eps, n, np.array([j_mid]), np.array([jp]))
+    """(J_n(n eps), J_n'(n eps)) for one order n with n*eps > 2: a
+    ``_seeded_ladder`` of one lane."""
+    j, jp = _seeded_ladder(eps, np.array([n], dtype=np.int64))
     return float(j[0]), float(jp[0])
 
 
@@ -582,12 +648,10 @@ def _diag_point(eps: float, n: int):
 # Anchored Chebyshev interpolation along the Kapteyn diagonal
 # ---------------------------------------------------------------------------
 
-# Anchors per unit of ln(n_hi/n_lo), and at least (the fit's error is flat
-# from 8 to 24 per unit: the anchors' own noise); orders at which the fit is
-# checked, and the factor from the worst check to the declared envelope.
+# Anchors per unit of ln(n_hi/n_lo), and at least; the factor from the worst
+# check of the fit to its declared envelope.
 _INTERP_PER_SPAN = 12
 _INTERP_MIN_ANCHORS = 16
-_INTERP_CHECKS = 5
 _INTERP_SAFETY = 8.0
 
 
@@ -602,14 +666,14 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
         d(n)  = J_n(n eps) * exp(-n ln g) * sqrt(2 pi n s)
         dp(n) = J_n'(n eps) * exp(-n ln g) * sqrt(2 pi n / s) * eps
 
-    anchored on ``_diag_point`` values, each a Debye seed a few hundred
-    orders up carried down by a short backward recurrence.  Both functions
-    tend to 1 as n grows and are analytic in n, so ``_INTERP_PER_SPAN``
-    anchors per unit of ln(n_hi/n_lo) reach the anchors' own noise.
+    anchored on values of ``_seeded_ladder``, which computes every node and
+    check in one call.  Both functions tend to 1 as n grows and are analytic
+    in n, so ``_INTERP_PER_SPAN`` anchors per unit of ln(n_hi/n_lo) reach the
+    anchors' own accuracy.
 
-    The fit measures its own error: at ``_INTERP_CHECKS`` orders halfway
-    (in angle) between Chebyshev nodes it is compared with ``_diag_point``,
-    and the worst relative disagreement, at least ``_SEED_REL_ERR``, times
+    The fit measures its own error: at every order halfway (in angle)
+    between adjacent Chebyshev nodes it is compared with the ladder, and the
+    worst relative disagreement, at least ``_SEED_REL_ERR``, times
     ``_INTERP_SAFETY`` is the error envelope returned for J and for J'.
     Returns (a, b, coef_d, coef_dp, rel_j, rel_jp), [a, b] being the fit's
     range in ln n.
@@ -618,20 +682,20 @@ def _diag_interpolant(eps: float, n_lo: int, n_hi: int):
     a = math.log(n_lo)
     b = math.log(n_hi)
     count = _anchor_count(n_lo, n_hi)
-    # nodes at the angles pi (2j + 1) / (2 count), checks at some of the
-    # angles pi k / count between them
+    # nodes at the angles pi (2j + 1) / (2 count), checks at the angles
+    # pi k / count between them
     angles = np.pi * np.arange(2 * count + 1) / (2 * count)
     orders = np.rint(np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.cos(angles))).astype(np.int64)
     nodes = np.unique(orders[1::2])
-    picks = 2 * np.rint(np.linspace(1, count - 1, _INTERP_CHECKS)).astype(np.int64)
-    checks = np.setdiff1d(orders[picks], nodes)  # on a short band an order may be both
-    n = np.concatenate([nodes, checks]).astype(np.float64)
+    checks = np.setdiff1d(orders[2:-1:2], nodes)  # on a short band an order may be both
+    n = np.concatenate([nodes, checks])
+    j, jp = _seeded_ladder(eps, n)
+    n = n.astype(np.float64)
     inv_pref = _exp_n_lng(n, -lng_hi, -lng_lo, 0.5 * np.log(2.0 * math.pi * n))
-    vals = np.array([_diag_point(eps, int(m)) for m in n]).reshape(-1, 2)
     xm = (2.0 * np.log(n) - (a + b)) / (b - a)
     k = len(nodes)
     coefs, envelopes = [], []
-    for f in (vals[:, 0] * inv_pref * math.sqrt(s), vals[:, 1] * inv_pref / math.sqrt(s) * eps):
+    for f in (j * inv_pref * math.sqrt(s), jp * inv_pref / math.sqrt(s) * eps):
         c = np.polynomial.chebyshev.chebfit(xm[:k], f[:k], k - 1)
         keep = np.nonzero(np.abs(c) > 1e-15 * np.abs(c).max())[0]
         c = c[: keep[-1] + 1] if len(keep) else c[:1]
@@ -663,15 +727,14 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
 
     Returns (j, jp, rel_j, rel_jp), the last two the band's error envelopes
     (floats).  A band of no more orders than the fit would take anchors is
-    served by ``_diag_point`` at each order; a longer one by the anchored
+    served by ``_seeded_ladder`` at each order; a longer one by the anchored
     interpolant, summed by ``_clenshaw`` in chunks of ``_DEBYE_CHUNK`` orders
     (its buffers then stay in cache; every step is elementwise, so the
     chunking changes no value).
     """
     if n_hi - n_lo < _anchor_count(n_lo, n_hi):
-        pts = np.array([_diag_point(eps, int(n)) for n in n_arr]).reshape(-1, 2)
         rel = _INTERP_SAFETY * _SEED_REL_ERR
-        return pts[:, 0], pts[:, 1], rel, rel
+        return *_seeded_ladder(eps, n_arr), rel, rel
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
     a, b, coef_d, coef_dp, rel_j, rel_jp = _diag_interpolant(eps, n_lo, n_hi)
     j = np.empty(len(n_arr))
@@ -794,7 +857,7 @@ def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp
     n_miller_hi = min(n_max, cfg.crossover_order)
     if n_miller_hi >= n_miller_lo:
         sl = slice(n_miller_lo - 1, n_miller_hi)
-        j[sl], jp[sl] = _shift_to_exact_x(eps, n_miller_lo,
+        j[sl], jp[sl] = _shift_to_exact_x(eps, np.arange(n_miller_lo, n_miller_hi + 1.0),
                                           *_miller_diag_block(eps, n_miller_lo, n_miller_hi))
         rel_j[sl] = _MILLER_REL_ERR
         rel_jp[sl] = _MILLER_REL_ERR
@@ -847,6 +910,8 @@ def bessel_j(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> flo
 
     Relative accuracy cfg.rel_tol away from underflow; near the underflow
     floor the error is absolute at the scale of the largest series term.
+    A general x keeps the normalized ``_miller_scalar``, not the seeded
+    ladder: at x >= n the ladder is not stable for J below the turning point.
     """
     _validate_order_arg(n, x, cfg)
     n = int(n)
@@ -862,7 +927,8 @@ def bessel_j(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> flo
 
 
 def bessel_j_prime(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
-    """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2 with J_{-1} = -J_1."""
+    """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2 with J_{-1} = -J_1, by
+    ``_miller_scalar`` at a general x, as ``bessel_j``."""
     _validate_order_arg(n, x, cfg)
     n = int(n)
     if n == 0:
@@ -879,13 +945,25 @@ def bessel_j_prime(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) 
     return 0.5 * (vals[n - 1] - vals[n + 1])
 
 
-def _validate_kapteyn_args(n: int, eps: float, cfg: BesselConfig) -> None:
+def _kapteyn_pair(n: int, eps: float, cfg: BesselConfig):
+    """(J_n(n*eps), J_n'(n*eps)) for the scalar entry points: the power
+    series at n*eps <= 2, Debye above the crossover where its estimates meet
+    max(rel_tol, 2e-14), and a one-lane ``_seeded_ladder`` otherwise."""
     if n != int(n) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n > cfg.max_order:
         raise OrderTooLarge(f"order {n} exceeds max_order {cfg.max_order}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    n = int(n)
+    x = n * eps
+    if x <= _SERIES_X_MAX:
+        return _jn_series(n, x), 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
+    if n > cfg.crossover_order:
+        jv, jpv, rel_j, rel_jp = _debye_scalar(n, eps)
+        if max(rel_j, rel_jp) <= max(cfg.rel_tol, 2e-14):
+            return jv, jpv
+    return _diag_point(eps, n)
 
 
 def kapteyn_coeff(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
@@ -895,34 +973,9 @@ def kapteyn_coeff(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG)
     positive zero of J_n.  Underflow returns 0.0; downstream tail bounds
     treat such terms as exact zeros.
     """
-    _validate_kapteyn_args(n, eps, cfg)
-    n = int(n)
-    x = n * eps
-    if x <= _SERIES_X_MAX:
-        return _jn_series(n, x)
-    if n > cfg.crossover_order:
-        jv, _, rel, _ = _debye_scalar(n, eps)
-        if rel <= max(cfg.rel_tol, 2e-14):
-            return jv
-        # asymptotics cannot reach tolerance at this order this close to
-        # eps = 1: seed higher up and recur down
-        jv, _ = _diag_point(eps, n)
-        return jv
-    return _miller_diag_scalar(n, eps)[0]
+    return _kapteyn_pair(n, eps, cfg)[0]
 
 
 def kapteyn_coeff_prime(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
     """J_n'(n*eps); strictly positive for eps in (0, 1)."""
-    _validate_kapteyn_args(n, eps, cfg)
-    n = int(n)
-    x = n * eps
-    if x <= _SERIES_X_MAX:
-        return 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
-    if n > cfg.crossover_order:
-        _, jpv, _, rel = _debye_scalar(n, eps)
-        if rel <= max(cfg.rel_tol, 2e-14):
-            return jpv
-        _, jpv = _diag_point(eps, n)
-        return jpv
-    return _miller_diag_scalar(n, eps)[1]
-
+    return _kapteyn_pair(n, eps, cfg)[1]

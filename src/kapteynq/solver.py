@@ -90,24 +90,33 @@ def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     crossing the target is a proof; full convergence below the target is a
     disproof; hitting the cap undecided returns None.  Both are decided at
     the end of each chunk of the walk.  A term whose cosh overflowed is
-    dropped: as NaN where the table holds J = 0, as inf where J > 0.  An inf
-    term is a term lost, so after one the partial sums still prove True but
-    can no longer disprove.
+    dropped: as NaN where the table holds J = 0, as inf where J > 0.  Every
+    later term overflows too, so after an inf term the partial sums can
+    neither grow nor disprove, and an undecided sum raises MaxTermsExceeded
+    naming that term: no cap helps there.
     """
     ln_c = math.log(C)
-    total, lost = 1.0, False
+    total = 1.0
     for tab, lo, hi in _walk(ecc, 1024, trunc, bcfg):
         n = np.arange(lo + 1.0, hi + 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             chunk = 2.0 * tab.j[lo:hi] * np.cosh(n * ln_c)
+        lost = 0
         if not np.isfinite(chunk).all():
-            lost = lost or bool(np.isinf(chunk).any())
+            inf = np.isinf(chunk)
+            lost = lo + 1 + int(np.argmax(inf)) if inf.any() else 0
             chunk = np.where(np.isfinite(chunk), chunk, 0.0)
         total += float(np.cumsum(chunk)[-1])  # the running partial sum, added in order
         if total > target:
             return True
+        if lost:
+            raise MaxTermsExceeded(
+                f"term n={lost} of F({C}) overflowed (J_n > 0, cosh(n ln C) = inf) "
+                f"with the partial sum {total} below {target}; raising max_terms "
+                "will not help"
+            )
         tail = float(chunk[-1]) * (ecc.g / C) / max(1.0 - ecc.g / C, 1e-16)
-        if not lost and tail <= trunc.abs_tol and total + tail <= target:
+        if tail <= trunc.abs_tol and total + tail <= target:
             return False
     return None
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately separate from the package's own algorithms:
 the power series and backward recurrence run in mpmath arbitrary-precision
-arithmetic, and besselj is mpmath's hypergeometric implementation.
+arithmetic, besselj is mpmath's hypergeometric implementation, and
+``jn_path`` integrates Bessel's integral numerically.
 """
 
 import mpmath as mp
@@ -101,3 +102,46 @@ def kapteyn_triple(C, eps, dps: int = 40):
         eta = (lo + hi) / 2
         rho = 1 - e * mp.cosh(eta)
         return 1 / rho, -e * mp.sinh(eta) / rho**3, (mp.cosh(eta) - e) / rho**3
+
+
+def jn_path(n: int, x, dps: int = 20):
+    """(J_n(x), J_n'(x)) for 0 < x < n by Bessel's integral on its path of
+    steepest descent, at dps digits and any order.
+
+    With x = n / cosh(alpha), the path tau = theta + i y(theta), cosh y =
+    cosh(alpha) theta / sin(theta), keeps the phase of exp(i (n tau -
+    x sin tau)) real, so J_n(x) = (1/pi) int_0^pi exp(x cos(theta) sinh(y) -
+    n y) dtheta, and J_n'(x) the same with the factor cos(theta) sinh(y) +
+    y'(theta) sin(theta) cosh(y).  The integrands are positive and peak at
+    theta = 0; the Gauss-Legendre panels double in width from the angle where
+    the integrand has fallen by a factor e.
+    """
+    with mp.workdps(dps + 8):
+        n, x = mp.mpf(n), mp.mpf(x)
+        c = n / x
+
+        def expo(th):
+            ch = c * th / mp.sin(th) if th else c
+            y = mp.acosh(ch)
+            return x * mp.cos(th) * mp.sinh(y) - n * y, y, ch
+
+        e0 = expo(0)[0]
+        lo, hi = mp.mpf(0), mp.pi / 2
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if e0 - expo(mid)[0] < 1 else (lo, mid)
+        cache = {}
+
+        def parts(th):
+            if th not in cache:
+                e, y, ch = expo(th)
+                st, ct, sh = mp.sin(th), mp.cos(th), mp.sinh(y)
+                yp = c * (st - th * ct) / (st * st * sh) if th else mp.mpf(0)
+                v = mp.exp(e - e0)
+                cache[th] = (v, (ct * sh + yp * st * ch) * v)
+            return cache[th]
+
+        pts = [0] + [hi * 2 ** k for k in range(12) if hi * 2 ** k < 3] + [mp.pi]
+        scale = mp.exp(e0) / mp.pi
+        return tuple(+(scale * mp.quad(lambda t, i=i: parts(t)[i], pts, method="gauss-legendre"))
+                     for i in (0, 1))

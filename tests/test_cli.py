@@ -73,6 +73,22 @@ def test_unconverged_solve_exits_3_and_writes_the_report(monkeypatch, out):
     assert doc["results"]["terms_used"] == [300, 300, 300]
 
 
+@pytest.mark.parametrize("d,reason", [
+    # no cap helps: J_60 is subnormal and cosh(60 ln C) overflows at the
+    # left bracket end (the last digits of the partial sum follow numpy's cosh)
+    ("8e10", re.escape("MaxTermsExceeded: term n=60 of F(6.805279174576276e-06) overflowed "
+                       "(J_n > 0, cosh(n ln C) = inf) with the partial sum 1.61227")
+             + r"\d*" + re.escape(" below 2.000000000025; raising max_terms will not help")),
+    ("1e-5", re.escape("MaxTermsExceeded: could not certify the left bracket endpoint within "
+                       "max_terms=200000 at D=1e-05; raise max_terms")),
+])
+def test_failed_solve_exits_3_and_names_the_limit(d, reason, out, capsys):
+    assert cli.main(["solve", "--d", d, "--out", str(out)]) == 3
+    assert re.fullmatch(re.escape(f"numerical failure at D={float(d)}: ") + reason + "\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_identity_at_the_term_cap_exits_3(out):
     # the trig sums walk to the cap of 10 terms without meeting abs_tol
     assert cli.main(["identity", "--eps", "0.9", "--max-terms", "10", "--out", str(out)]) == 3

@@ -406,7 +406,7 @@ def _whole_table_f_exceeds(C, ecc, trunc, target):
         if not lost and tail <= trunc.abs_tol and total + tail <= target:
             return False
         if size >= trunc.max_terms:
-            return None
+            return "overflow" if lost else None
         start, size = size, size * 4
 
 
@@ -503,7 +503,11 @@ class TestWalk:
             points += [_off_root(d, t)[1] for t in (1e-3, 0.1, 0.5, "root")]
             for c in points:
                 for tgt in (target, 0.5 * target, 2.0 * target, 1e3 * target):
-                    decision = solver._f_exceeds(c, ecc, trunc, DEFAULT_BESSEL_CONFIG, tgt)
-                    assert decision is _whole_table_f_exceeds(c, ecc, trunc, tgt), (d, c, tgt)
+                    try:
+                        decision = solver._f_exceeds(c, ecc, trunc, DEFAULT_BESSEL_CONFIG, tgt)
+                    except MaxTermsExceeded as exc:  # an overflowed term, named
+                        assert "will not help" in str(exc)
+                        decision = "overflow"
+                    assert decision == _whole_table_f_exceeds(c, ecc, trunc, tgt), (d, c, tgt)
                     seen.add(decision)
-        assert seen == {True, False, None}
+        assert seen == {True, False, None, "overflow"}

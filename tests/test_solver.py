@@ -6,7 +6,7 @@ import pytest
 
 from kapteynq import closed_C, closed_C1, closed_C2_paper
 from kapteynq.bessel import DEFAULT_BESSEL_CONFIG
-from kapteynq.errors import DegenerateF1
+from kapteynq.errors import DegenerateF1, MaxTermsExceeded
 from kapteynq.kapteyn import Eccentricity, TruncationConfig, domain_floor, eval_F
 from kapteynq.solver import (
     Problem,
@@ -81,10 +81,12 @@ class TestFExceeds:
     def test_no_disproof_after_an_overflowed_term(self):
         # near g at D = 0.05 the last 777 of 200 000 terms are J > 0 times an
         # overflowed cosh (about 0.0019 each); F is below 42 000 (the oracle
-        # gives 17 914), but a sum that dropped them cannot prove it
+        # gives 17 914), but a sum that dropped them cannot prove it, and a
+        # larger cap only adds overflowed terms
         ecc = Eccentricity.from_D(0.05)
         c = ecc.g + 2e-6 * (1.0 - ecc.g)
-        assert _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 42_000.0) is None
+        with pytest.raises(MaxTermsExceeded, match=r"term n=199224 .*will not help"):
+            _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 42_000.0)
         assert _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 50.0) is True
 
 
