@@ -9,8 +9,6 @@ Kepler-equation identities.
 
 from . import errors
 from .bessel import (
-    DEFAULT_BESSEL_CONFIG,
-    BesselConfig,
     bessel_j,
     bessel_j_prime,
     kapteyn_coeff,
@@ -54,8 +52,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselConfig",
-    "DEFAULT_BESSEL_CONFIG",
     "bessel_j",
     "bessel_j_prime",
     "kapteyn_coeff",

@@ -5,9 +5,10 @@ The evaluation paths:
 * ascending power series for x <= 2 (A&S 9.1.10);
 * Miller backward recurrence with the even-order normalization
   J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.12, Numerical Recipes style): for
-  the diagonal tables' orders up to a configurable crossover order, as one
-  lockstep vector kernel over all of them (``_miller_diag_block``), and for
-  ``bessel_j``/``bessel_j_prime`` at a general argument (``_miller_scalar``);
+  the diagonal tables' orders up to the fixed crossover order
+  ``CROSSOVER_ORDER``, as one lockstep vector kernel over all of them
+  (``_miller_diag_block``), and for ``bessel_j``/``bessel_j_prime`` at a
+  general argument (``_miller_scalar``);
 * Debye uniform large-order expansion of J_nu(nu*sech(alpha)) and its
   derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) above the crossover;
 * a Debye-seeded ladder (``_seeded_ladder``) for any array of diagonal
@@ -19,7 +20,7 @@ eps -> 1.  At a fixed argument it improves quickly with the order, so
 ``_seeded_ladder`` seeds each order n by Debye a short way higher, at its own
 argument, and carries all of them down at once by the backward recurrence
 (DLMF 10.6.1), with a cost that does not grow with n.  The orders above the
-crossover where the expansion cannot reach the requested tolerance form a
+crossover where the expansion cannot reach the tolerance ``REL_TOL`` form a
 band crossover+1..b_hi that eps alone decides (``_band_hi``).  The table
 builder interpolates the band along the diagonal n -> J_n(n*eps) with a
 Chebyshev fit, fitted once per band on anchors that one ladder call
@@ -29,10 +30,10 @@ each order, and ``kapteyn_coeff*`` take it for one order.  Every returned
 value carries a per-order relative error estimate so downstream series can
 report honest tail bounds.
 
-Every path is elementwise in n, so a table value depends on (eps, n, config)
-only.  Tables grow by extension: a larger table at the same eps copies the
-largest one still alive and computes only the new orders, and a smaller one
-is a read-only view of it, so tables may share their buffers.
+Every path is elementwise in n, so a table value depends on (eps, n) only.
+Tables grow by extension: a larger table at the same eps copies the largest
+one still alive and computes only the new orders, and a smaller one is a
+read-only view of it, so tables may share their buffers.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ import numpy as np
 from .errors import NonFinite, OrderTooLarge
 
 __all__ = [
-    "BesselConfig",
-    "DEFAULT_BESSEL_CONFIG",
     "bessel_j",
     "bessel_j_prime",
     "kapteyn_coeff",
@@ -75,31 +74,14 @@ _DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch and the interpolant
 _LANE_STRIDE = 32
 
 
-@dataclass(frozen=True)
-class BesselConfig:
-    """Accuracy and routing knobs for the Bessel evaluators.
-
-    ``crossover_order`` is the order above which the large-order asymptotic
-    path takes over.  The default is set where the Debye expansion meets the
-    crossover-consistency requirement (agreement with backward recurrence to
-    1e-10) across eccentricities up to ~0.95, which lands near 2000; see the
-    consistency tests.
-    """
-
-    rel_tol: float = 1e-13
-    crossover_order: int = 2000
-    max_order: int = 200_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol}")
-        if not (1 <= self.crossover_order <= self.max_order):
-            raise ValueError(
-                "crossover_order must satisfy 1 <= crossover_order <= max_order"
-            )
-
-
-DEFAULT_BESSEL_CONFIG = BesselConfig()
+# The relative accuracy the Debye expansion must reach to serve an order
+# without help.  Above CROSSOVER_ORDER the large-order paths take over from the
+# Miller block; it sits where the Debye expansion agrees with backward
+# recurrence to 1e-10 across eccentricities up to ~0.95 (see the consistency
+# tests).  MAX_ORDER caps the order of the scalar entry points.
+REL_TOL = 1e-13
+CROSSOVER_ORDER = 2000
+MAX_ORDER = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +739,10 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
 class DiagonalTable:
     """J_n(n*eps), J_n'(n*eps) for n = 1..n_max with relative error estimates.
 
-    The arrays are read-only.  A value depends on (eps, n, config) only, never
-    on n_max, so a table is a prefix of any larger table at the same eps and
-    config; tables at one eps may share their buffers (a smaller table is a
-    view of a larger one, see ``_diagonal_table_cached``).
+    The arrays are read-only.  A value depends on (eps, n) only, never on
+    n_max, so a table is a prefix of any larger table at the same eps; tables
+    at one eps may share their buffers (a smaller table is a view of a larger
+    one, see ``_diagonal_table_cached``).
     """
 
     eps: float
@@ -779,27 +761,24 @@ _INTERP_MAX = 8_000_000
 
 
 @lru_cache(maxsize=64)
-def _band_hi(eps: float, cfg: BesselConfig) -> int:
+def _band_hi(eps: float) -> int:
     """Last order b_hi of the defective Debye band crossover+1..b_hi.
 
     The band holds the orders whose Debye error estimate exceeds
-    max(rel_tol, 2e-14).  The estimate falls as n grows, so the band is a
+    ``REL_TOL``.  The estimate falls as n grows, so the band is a
     prefix of the Debye range, and b_hi does not depend on how many orders a
     table asks for.  It is found by galloping (the order doubles from
     crossover+1) and then by multisection; each round is one ``_debye_batch``
     call on at most 32 orders.  The band is capped at ``_INTERP_MAX``.
     Returns the crossover order when there is no band.
     """
-    target = max(cfg.rel_tol, 2e-14)
-    lo, hi = cfg.crossover_order, _INTERP_MAX + 1  # lo is in the band or the crossover; hi is not
-    if lo >= _INTERP_MAX:
-        return lo
+    lo, hi = CROSSOVER_ORDER, _INTERP_MAX + 1  # lo is in the band or the crossover; hi is not
     probes = [lo + 1]
     while probes[-1] < _INTERP_MAX:
         probes.append(min(2 * probes[-1], _INTERP_MAX))
     while probes:
         _, _, rel_j, rel_jp = _debye_batch(np.array(probes, dtype=np.int64), eps)
-        bad = np.maximum(rel_j, rel_jp) > target
+        bad = np.maximum(rel_j, rel_jp) > REL_TOL
         first_good = int(np.argmin(bad)) if not bad.all() else len(probes)
         if first_good > 0:
             lo = probes[first_good - 1]
@@ -810,15 +789,15 @@ def _band_hi(eps: float, cfg: BesselConfig) -> int:
     return lo
 
 
-# The largest table built so far for each (eps, config), held weakly: while
+# The largest table built so far for each eps, held weakly: while
 # the LRU below or a caller keeps it alive, a smaller size is a view of it and
 # a larger size copies it and computes only the new orders.
 _LARGEST: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=8)
-def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> DiagonalTable:
-    src = _LARGEST.get((eps, cfg))
+def _diagonal_table_cached(eps: float, n_max: int) -> DiagonalTable:
+    src = _LARGEST.get(eps)
     if src is not None and src.n_max >= n_max:
         return DiagonalTable(eps=eps, n_max=n_max, j=src.j[:n_max], jp=src.jp[:n_max],
                              rel_j=src.rel_j[:n_max], rel_jp=src.rel_jp[:n_max])
@@ -830,15 +809,15 @@ def _diagonal_table_cached(eps: float, n_max: int, cfg: BesselConfig) -> Diagona
     if src is not None:
         for dst, old in zip((j, jp, rel_j, rel_jp), (src.j, src.jp, src.rel_j, src.rel_jp)):
             dst[:n_old] = old
-    _fill_orders(eps, cfg, n_old, j, jp, rel_j, rel_jp)
+    _fill_orders(eps, n_old, j, jp, rel_j, rel_jp)
     for arr in (j, jp, rel_j, rel_jp):
         arr.setflags(write=False)
     tab = DiagonalTable(eps=eps, n_max=n_max, j=j, jp=jp, rel_j=rel_j, rel_jp=rel_jp)
-    _LARGEST[(eps, cfg)] = tab
+    _LARGEST[eps] = tab
     return tab
 
 
-def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp) -> None:
+def _fill_orders(eps: float, n_old: int, j, jp, rel_j, rel_jp) -> None:
     """Compute orders n_old+1..len(j) of a table in place.
 
     Each path is elementwise in n (the Miller block's lanes are independent,
@@ -854,7 +833,7 @@ def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp
         jp[n - 1] = 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
 
     n_miller_lo = max(n_old, n_series) + 1
-    n_miller_hi = min(n_max, cfg.crossover_order)
+    n_miller_hi = min(n_max, CROSSOVER_ORDER)
     if n_miller_hi >= n_miller_lo:
         sl = slice(n_miller_lo - 1, n_miller_hi)
         j[sl], jp[sl] = _shift_to_exact_x(eps, np.arange(n_miller_lo, n_miller_hi + 1.0),
@@ -862,10 +841,10 @@ def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp
         rel_j[sl] = _MILLER_REL_ERR
         rel_jp[sl] = _MILLER_REL_ERR
 
-    n_lo = max(n_old, cfg.crossover_order) + 1
+    n_lo = max(n_old, CROSSOVER_ORDER) + 1
     if n_max < n_lo:
         return
-    b_lo, b_hi = cfg.crossover_order + 1, _band_hi(eps, cfg)
+    b_lo, b_hi = CROSSOVER_ORDER + 1, _band_hi(eps)
     n_band_hi = min(n_max, b_hi)
     if n_band_hi >= n_lo:
         sl = slice(n_lo - 1, n_band_hi)
@@ -883,99 +862,101 @@ def _fill_orders(eps: float, cfg: BesselConfig, n_old: int, j, jp, rel_j, rel_jp
         np.maximum(rel_jp[sl], 1e-16, out=rel_jp[sl])
 
 
-def diagonal_table(eps: float, n_max: int, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> DiagonalTable:
+def diagonal_table(eps: float, n_max: int) -> DiagonalTable:
     """Cached table of Kapteyn diagonal coefficients for n = 1..n_max."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return _diagonal_table_cached(float(eps), int(n_max), cfg)
+    return _diagonal_table_cached(float(eps), int(n_max))
 
 
 # ---------------------------------------------------------------------------
 # Public scalar operations
 # ---------------------------------------------------------------------------
 
-def _validate_order_arg(n: int, x: float, cfg: BesselConfig) -> None:
+def _validate_order_arg(n: int, x: float) -> None:
     if n != int(n) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if n > cfg.max_order:
-        raise OrderTooLarge(f"order {n} exceeds max_order {cfg.max_order}")
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds max_order {MAX_ORDER}")
     if not math.isfinite(x):
         raise NonFinite(f"argument must be finite, got {x!r}")
     if x < 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
 
 
-def bessel_j(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
-    """J_n(x) for integer n >= 0, real x >= 0.
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for integer n >= 0 up to ``MAX_ORDER``, real x >= 0.
 
-    Relative accuracy cfg.rel_tol away from underflow; near the underflow
-    floor the error is absolute at the scale of the largest series term.
-    A general x keeps the normalized ``_miller_scalar``, not the seeded
+    Relative accuracy about ``REL_TOL`` away from underflow: the power series
+    at x <= 2, Debye above ``CROSSOVER_ORDER`` where its own error estimate is
+    at most REL_TOL/2, the normalized recurrence otherwise.  Near the
+    underflow floor the error is absolute at the scale of the largest series
+    term.  A general x keeps the normalized ``_miller_scalar``, not the seeded
     ladder: at x >= n the ladder is not stable for J below the turning point.
     """
-    _validate_order_arg(n, x, cfg)
+    _validate_order_arg(n, x)
     n = int(n)
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x <= _SERIES_X_MAX:
         return _jn_series(n, x)
-    if n > cfg.crossover_order and x < 0.98 * n:
+    if n > CROSSOVER_ORDER and x < 0.98 * n:
         jv, _, rel, _ = _debye_scalar(n, x / n)
-        if rel <= 0.5 * cfg.rel_tol:
+        if rel <= 0.5 * REL_TOL:
             return jv
     return _miller_scalar(x, (n,))[n]
 
 
-def bessel_j_prime(n: int, x: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def bessel_j_prime(n: int, x: float) -> float:
     """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2 with J_{-1} = -J_1, by
     ``_miller_scalar`` at a general x, as ``bessel_j``."""
-    _validate_order_arg(n, x, cfg)
+    _validate_order_arg(n, x)
     n = int(n)
     if n == 0:
-        return -bessel_j(1, x, cfg)
+        return -bessel_j(1, x)
     if x == 0.0:
         return 0.5 if n == 1 else 0.0
     if x <= _SERIES_X_MAX:
         return 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
-    if n > cfg.crossover_order and x < 0.98 * n:
+    if n > CROSSOVER_ORDER and x < 0.98 * n:
         _, jpv, _, rel = _debye_scalar(n, x / n)
-        if rel <= 0.5 * cfg.rel_tol:
+        if rel <= 0.5 * REL_TOL:
             return jpv
     vals = _miller_scalar(x, (n - 1, n + 1))
     return 0.5 * (vals[n - 1] - vals[n + 1])
 
 
-def _kapteyn_pair(n: int, eps: float, cfg: BesselConfig):
+def _kapteyn_pair(n: int, eps: float):
     """(J_n(n*eps), J_n'(n*eps)) for the scalar entry points: the power
     series at n*eps <= 2, Debye above the crossover where its estimates meet
-    max(rel_tol, 2e-14), and a one-lane ``_seeded_ladder`` otherwise."""
+    ``REL_TOL``, and a one-lane ``_seeded_ladder`` otherwise."""
     if n != int(n) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
-    if n > cfg.max_order:
-        raise OrderTooLarge(f"order {n} exceeds max_order {cfg.max_order}")
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds max_order {MAX_ORDER}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     n = int(n)
     x = n * eps
     if x <= _SERIES_X_MAX:
         return _jn_series(n, x), 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
-    if n > cfg.crossover_order:
+    if n > CROSSOVER_ORDER:
         jv, jpv, rel_j, rel_jp = _debye_scalar(n, eps)
-        if max(rel_j, rel_jp) <= max(cfg.rel_tol, 2e-14):
+        if max(rel_j, rel_jp) <= REL_TOL:
             return jv, jpv
     return _diag_point(eps, n)
 
 
-def kapteyn_coeff(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def kapteyn_coeff(n: int, eps: float) -> float:
     """J_n(n*eps): the coefficient of the Kapteyn series.
 
     Strictly positive for eps in (0, 1) since n*eps stays below the first
     positive zero of J_n.  Underflow returns 0.0; downstream tail bounds
     treat such terms as exact zeros.
     """
-    return _kapteyn_pair(n, eps, cfg)[0]
+    return _kapteyn_pair(n, eps)[0]
 
 
-def kapteyn_coeff_prime(n: int, eps: float, cfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def kapteyn_coeff_prime(n: int, eps: float) -> float:
     """J_n'(n*eps); strictly positive for eps in (0, 1)."""
-    return _kapteyn_pair(n, eps, cfg)[1]
+    return _kapteyn_pair(n, eps)[1]

@@ -17,7 +17,6 @@ import os
 import sys
 import time
 
-from .bessel import BesselConfig
 from .closedform import bound_interval, closed_C, closed_C1, closed_C2_paper
 from .errors import KapteynError
 from .kapteyn import Eccentricity, TruncationConfig, eval_trig_sums
@@ -96,13 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configs(args) -> tuple[TruncationConfig, BesselConfig]:
+def _configs(args) -> TruncationConfig:
     max_terms = args.max_terms if args.max_terms is not None else _default_max_terms()
     if max_terms < 10:
         raise ValueError(f"max_terms must be >= 10, got {max_terms}")
-    if not (args.tol > 0.0):
-        raise ValueError(f"tol must be positive, got {args.tol}")
-    return TruncationConfig(abs_tol=args.tol, max_terms=max_terms), BesselConfig()
+    if not (0.0 < args.tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
+    return TruncationConfig(abs_tol=args.tol, max_terms=max_terms)
 
 
 def _emit(text: str, out_path) -> None:
@@ -117,13 +116,13 @@ def _csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
-def _solve_row(d: float, a: float, trunc, bcfg) -> dict:
+def _solve_row(d: float, a: float, trunc) -> dict:
     """One sweep/solve row; numerical failure lands in the error column."""
     row = dict.fromkeys(_SWEEP_COLUMNS)
     row["D"] = d
     row["error"] = ""
     try:
-        rep = solve_problem(Problem(D=d, a=a), trunc, bcfg)
+        rep = solve_problem(Problem(D=d, a=a), trunc)
         cc = closed_C(d)
         lo, _ = bound_interval(d)
         row.update({
@@ -151,9 +150,9 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"--d must be positive and finite, got {args.d}")
     if not (args.a > 0.0) or not math.isfinite(args.a):
         raise ValueError(f"--a must be positive and finite, got {args.a}")
-    trunc, bcfg = _configs(args)
+    trunc = _configs(args)
     t0 = time.perf_counter()
-    row = _solve_row(args.d, args.a, trunc, bcfg)
+    row = _solve_row(args.d, args.a, trunc)
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     rep = row.pop("_report", None)
     failed = rep is None
@@ -220,7 +219,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     if not (args.a > 0.0):
         raise ValueError(f"--a must be positive, got {args.a}")
-    trunc, bcfg = _configs(args)
+    trunc = _configs(args)
 
     if args.log:
         lo, hi = math.log(args.d_min), math.log(args.d_max)
@@ -231,7 +230,7 @@ def _cmd_sweep(args) -> int:
                 for i in range(args.points)]
 
     t0 = time.perf_counter()
-    rows = [_solve_row(d, args.a, trunc, bcfg) for d in grid]
+    rows = [_solve_row(d, args.a, trunc) for d in grid]
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     for row in rows:
         row.pop("_report", None)
@@ -259,8 +258,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    trunc, bcfg = _configs(args)
-    report = run_verification(trunc, bcfg)
+    trunc = _configs(args)
+    report = run_verification(trunc)
     ok = verification_passed(report)
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
@@ -306,7 +305,7 @@ def _cmd_identity(args) -> int:
         raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
     if args.e_points < 1:
         raise ValueError(f"--e-points must be >= 1, got {args.e_points}")
-    trunc, bcfg = _configs(args)
+    trunc = _configs(args)
     ecc = Eccentricity.from_eps(args.eps)
     margin = 0.05
     if args.e_points == 1:
@@ -317,7 +316,7 @@ def _cmd_identity(args) -> int:
 
     rows = []
     for e_val in grid:
-        s0, s1, s2 = eval_trig_sums(e_val, ecc, trunc, bcfg)
+        s0, s1, s2 = eval_trig_sums(e_val, ecc, trunc)
         state = orbit_state(e_val, args.eps)
         r0, r1, r2 = identity_rhs(state)
         rows.append({

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
-from .bessel import DEFAULT_BESSEL_CONFIG, BesselConfig
 from .errors import DivergentDomain, MaxTermsExceeded, OutOfRange
 
 __all__ = [
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 _MIN_TERMS = 10
+# The series are evaluated only for C above g + SAFETY_MARGIN*(1 - g): this
+# stand-off keeps them away from their divergence at C = g.
+SAFETY_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,19 +104,16 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class TruncationConfig:
+    """Absolute tolerance on a series' tail, and the cap on its terms."""
+
     abs_tol: float = 1e-12
     max_terms: int = 200_000
-    safety_margin: float = 1e-6
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not (0.0 < self.safety_margin < 1.0):
-            raise ValueError(
-                f"safety_margin must lie in (0, 1), got {self.safety_margin}"
-            )
 
 
 DEFAULT_TRUNCATION = TruncationConfig()
@@ -130,9 +129,9 @@ def convergence_boundary(ecc: Eccentricity) -> float:
     return ecc.g
 
 
-def domain_floor(ecc: Eccentricity, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> float:
-    """Smallest admissible C: g plus the configured stand-off fraction of (1-g)."""
-    return ecc.g + trunc.safety_margin * (1.0 - ecc.g)
+def domain_floor(ecc: Eccentricity) -> float:
+    """Smallest admissible C: g plus the stand-off fraction SAFETY_MARGIN of (1-g)."""
+    return ecc.g + SAFETY_MARGIN * (1.0 - ecc.g)
 
 
 def _estimate_terms(t1: float, rho: float, weighted: bool, trunc: TruncationConfig) -> int:
@@ -148,10 +147,10 @@ def _estimate_terms(t1: float, rho: float, weighted: bool, trunc: TruncationConf
     return int(min(trunc.max_terms, max(_MIN_TERMS, math.ceil(n_est))))
 
 
-def _domain_check(C: float, ecc: Eccentricity, trunc: TruncationConfig) -> None:
+def _domain_check(C: float, ecc: Eccentricity) -> None:
     if not math.isfinite(C) or C <= 0.0 or C > 1.0:
         raise OutOfRange(f"C must lie in (0, 1], got {C}")
-    floor = domain_floor(ecc, trunc)
+    floor = domain_floor(ecc)
     if C <= floor:
         raise DivergentDomain(
             f"C={C} is at or below the convergence stand-off {floor} "
@@ -159,7 +158,7 @@ def _domain_check(C: float, ecc: Eccentricity, trunc: TruncationConfig) -> None:
         )
 
 
-def _walk(ecc: Eccentricity, n_est: int, trunc: TruncationConfig, bcfg: BesselConfig):
+def _walk(ecc: Eccentricity, n_est: int, trunc: TruncationConfig):
     """Walk the diagonal table in chunks (tab, lo, hi) of orders lo+1..hi.
 
     The first table holds n_est orders rounded up to a power of two (at least
@@ -172,7 +171,7 @@ def _walk(ecc: Eccentricity, n_est: int, trunc: TruncationConfig, bcfg: BesselCo
     start, size = 0, max(256, 1 << (int(n_est) - 1).bit_length())
     while True:
         size = min(size, trunc.max_terms)
-        tab = bessel.diagonal_table(ecc.eps, size, bcfg)
+        tab = bessel.diagonal_table(ecc.eps, size)
         for lo in range(start, size, bessel._DEBYE_CHUNK):
             yield tab, lo, min(lo + bessel._DEBYE_CHUNK, size)
         if size >= trunc.max_terms:
@@ -219,7 +218,7 @@ def _series_terms(kind: str, tab, lo: int, hi: int, ln_c: float, rho: float):
 
 
 def _eval_series(C: float, ecc: Eccentricity, trunc: TruncationConfig,
-                 bcfg: BesselConfig, kind: str) -> SeriesValue:
+                 kind: str) -> SeriesValue:
     """One of F, F1, F2 at C, summed up to the first order whose tail meets abs_tol.
 
     The first table is sized from a prediction of that order.  Terms and
@@ -228,14 +227,14 @@ def _eval_series(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     once.  If no order within max_terms qualifies, all max_terms terms are
     summed and ``converged`` is False.
     """
-    _domain_check(C, ecc, trunc)
+    _domain_check(C, ecc)
     rho = ecc.g / C
     ln_c = math.log(C)
 
     # first-term scale for the size prediction; J_1(eps) ~ eps/2
     t1 = ecc.eps * math.cosh(ln_c)
     parts = []
-    for tab, lo, hi in _walk(ecc, _estimate_terms(t1, rho, kind != "F", trunc), trunc, bcfg):
+    for tab, lo, hi in _walk(ecc, _estimate_terms(t1, rho, kind != "F", trunc), trunc):
         terms, tail = _series_terms(kind, tab, lo, hi, ln_c, rho)
         parts.append(terms)
         n_used = _first_stop(tail, lo, trunc)
@@ -257,33 +256,31 @@ def _eval_series(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     )
 
 
-def eval_F(C: float, ecc: Eccentricity, trunc: TruncationConfig = DEFAULT_TRUNCATION,
-           bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> SeriesValue:
+def eval_F(C: float, ecc: Eccentricity,
+           trunc: TruncationConfig = DEFAULT_TRUNCATION) -> SeriesValue:
     """F(C) = 1 + 2 sum_{n>=1} J_n(n eps) cosh(n ln C) for C in (g, 1].
 
     Strictly decreasing in C on the domain.  If the tolerance is not met
     within max_terms the best partial value is returned with
     ``converged=False`` (no exception).
     """
-    return _eval_series(C, ecc, trunc, bcfg, "F")
+    return _eval_series(C, ecc, trunc, "F")
 
 
-def eval_F1(C: float, ecc: Eccentricity, trunc: TruncationConfig = DEFAULT_TRUNCATION,
-            bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> SeriesValue:
+def eval_F1(C: float, ecc: Eccentricity,
+            trunc: TruncationConfig = DEFAULT_TRUNCATION) -> SeriesValue:
     """F1(C) = 2 sum_{n>=1} n J_n(n eps) sinh(n ln C); nonpositive on (g, 1]."""
-    return _eval_series(C, ecc, trunc, bcfg, "F1")
+    return _eval_series(C, ecc, trunc, "F1")
 
 
-def eval_F2(C: float, ecc: Eccentricity, trunc: TruncationConfig = DEFAULT_TRUNCATION,
-            bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> SeriesValue:
+def eval_F2(C: float, ecc: Eccentricity,
+            trunc: TruncationConfig = DEFAULT_TRUNCATION) -> SeriesValue:
     """F2(C) = 2 sum_{n>=1} n J_n'(n eps) cosh(n ln C); positive on (g, 1]."""
-    return _eval_series(C, ecc, trunc, bcfg, "F2")
+    return _eval_series(C, ecc, trunc, "F2")
 
 
 def eval_trig_sums(E: float, ecc: Eccentricity,
-                   trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                   bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG,
-                   endpoint_margin: float = 0.0) -> tuple[float, float, float]:
+                   trunc: TruncationConfig = DEFAULT_TRUNCATION) -> tuple[float, float, float]:
     """The three Kapteyn sums at M = E - eps*sin(E) for E inside (0, pi):
 
         S0 = 1 + 2 sum J_n(n eps) cos(n M)
@@ -295,14 +292,10 @@ def eval_trig_sums(E: float, ecc: Eccentricity,
     tolerance is unreachable within max_terms: unlike eval_F* there is no
     converged flag in this return shape.
     """
-    if not (endpoint_margin >= 0.0):
-        raise ValueError("endpoint_margin must be >= 0")
-    if not (endpoint_margin < E < math.pi - endpoint_margin):
-        raise OutOfRange(
-            f"E must lie strictly inside ({endpoint_margin}, pi - {endpoint_margin}), got {E}"
-        )
+    if not (0.0 < E < math.pi):
+        raise OutOfRange(f"E must lie strictly inside (0, pi), got {E}")
     M = E - ecc.eps * math.sin(E)
-    for tab, lo, hi in _walk(ecc, _estimate_terms(ecc.eps, ecc.g, True, trunc), trunc, bcfg):
+    for tab, lo, hi in _walk(ecc, _estimate_terms(ecc.eps, ecc.g, True, trunc), trunc):
         j, jp = tab.j[lo:hi], tab.jp[lo:hi]
         n = np.arange(lo + 1.0, hi + 1.0)
         rho_eff = ecc.g * (1.0 + 1.0 / n)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import DEFAULT_BESSEL_CONFIG, BesselConfig
 from .errors import DegenerateF1, MaxTermsExceeded, NoBracket
 from .kapteyn import (
     DEFAULT_TRUNCATION,
+    SAFETY_MARGIN,
     Eccentricity,
     TruncationConfig,
     _walk,
@@ -40,6 +40,8 @@ __all__ = [
 
 _F1_DEGENERACY_FLOOR = 1e-8
 _MAX_ROOT_ITER = 80
+# the Newton loop stops once |h(C)| is at most ROOT_TOL
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,7 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
-               bcfg: BesselConfig, target: float):
+def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig, target: float):
     """Certify F(C) > target from partial sums, or decide it never will.
 
     All folded terms are positive for real C in (g, 1], so a partial sum
@@ -97,7 +98,7 @@ def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     """
     ln_c = math.log(C)
     total = 1.0
-    for tab, lo, hi in _walk(ecc, 1024, trunc, bcfg):
+    for tab, lo, hi in _walk(ecc, 1024, trunc):
         n = np.arange(lo + 1.0, hi + 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             chunk = 2.0 * tab.j[lo:hi] * np.cosh(n * ln_c)
@@ -121,31 +122,28 @@ def _f_exceeds(C: float, ecc: Eccentricity, trunc: TruncationConfig,
     return None
 
 
-def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                    bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG,
-                    root_tol: float = 1e-12) -> tuple[float, dict]:
+def solve_C_numeric(p: Problem,
+                    trunc: TruncationConfig = DEFAULT_TRUNCATION) -> tuple[float, dict]:
     """Root of 1 = D/(2(D+1))*F(C) in (g, 1), with solve diagnostics.
 
-    The bracket starts at g + 2*safety_margin*(1-g) (twice the series
+    The bracket starts at g + 2*SAFETY_MARGIN*(1-g) (twice the series
     stand-off, so the endpoint itself is evaluable) and at 1.  Newton steps
     use h' = D/(2(D+1)) * F1(C)/C and are confined to the current bracket,
     with bisection whenever a step escapes or fails to shrink it.
     """
-    if not (root_tol > 0.0):
-        raise ValueError(f"root_tol must be positive, got {root_tol}")
     ecc = Eccentricity.from_D(p.D)
     g = ecc.g
     k = p.D / (2.0 * (p.D + 1.0))
     target_f = 1.0 / k
 
-    margin = 2.0 * trunc.safety_margin
+    margin = 2.0 * SAFETY_MARGIN
     left = g + margin * (1.0 - g)
-    positive = _f_exceeds(left, ecc, trunc, bcfg, target_f)
+    positive = _f_exceeds(left, ecc, trunc, target_f)
     if positive is False:
         # theory forbids this; shrink the stand-off once before giving up
-        margin = 1.25 * trunc.safety_margin
+        margin = 1.25 * SAFETY_MARGIN
         left = g + margin * (1.0 - g)
-        positive = _f_exceeds(left, ecc, trunc, bcfg, target_f)
+        positive = _f_exceeds(left, ecc, trunc, target_f)
     if positive is False:
         raise NoBracket(
             f"F({left}) certified below {target_f} at D={p.D}: no sign change "
@@ -157,7 +155,7 @@ def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
             f"max_terms={trunc.max_terms} at D={p.D}; raise max_terms"
         )
 
-    sv_hi = eval_F(1.0, ecc, trunc, bcfg)
+    sv_hi = eval_F(1.0, ecc, trunc)
     series_ok = sv_hi.converged
     coeff_err = sv_hi.coeff_err
     if k * sv_hi.value - 1.0 >= 0.0:
@@ -171,13 +169,13 @@ def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
     terms_f = sv_hi.terms_used
     iterations = 0
     for iterations in range(1, _MAX_ROOT_ITER + 1):
-        sv = eval_F(c_cur, ecc, trunc, bcfg)
+        sv = eval_F(c_cur, ecc, trunc)
         series_ok &= sv.converged
         coeff_err = max(coeff_err, sv.coeff_err)
         terms_f = sv.terms_used
         h = k * sv.value - 1.0
         residual = h
-        if abs(h) <= root_tol:
+        if abs(h) <= ROOT_TOL:
             break
         if h > 0.0:
             lo = c_cur
@@ -188,14 +186,14 @@ def solve_C_numeric(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
             break
         # F1 only steers a step the bracket guards, so a capped F1 does not
         # make the root unconverged
-        sv1 = eval_F1(c_cur, ecc, trunc, bcfg)
+        sv1 = eval_F1(c_cur, ecc, trunc)
         hp = k * sv1.value / c_cur
         c_next = c_cur - h / hp if hp != 0.0 else 0.5 * (lo + hi)
         if not (lo < c_next < hi) or abs(c_next - c_cur) > 0.5 * width:
             c_next = 0.5 * (lo + hi)
         c_cur = c_next
 
-    root_ok = abs(residual) <= max(root_tol, 10.0 * trunc.abs_tol)
+    root_ok = abs(residual) <= max(ROOT_TOL, 10.0 * trunc.abs_tol)
     reason = None
     if not series_ok:
         reason = (f"MaxTermsExceeded: series tolerance not reached within "
@@ -225,33 +223,30 @@ def _checked_f1(value: float) -> float:
 
 
 def solve_C1_numeric(p: Problem, C: float,
-                     trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                     bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+                     trunc: TruncationConfig = DEFAULT_TRUNCATION) -> float:
     """C1 = -a*F(C) / (sqrt(D+1)*F1(C)) at the root C; F1 < 0 so no hazard."""
     ecc = Eccentricity.from_D(p.D)
-    f = eval_F(C, ecc, trunc, bcfg).value
-    f1 = _checked_f1(eval_F1(C, ecc, trunc, bcfg).value)
+    f = eval_F(C, ecc, trunc).value
+    f1 = _checked_f1(eval_F1(C, ecc, trunc).value)
     return -p.a * f / (math.sqrt(p.D + 1.0) * f1)
 
 
 def solve_C2_numeric(p: Problem, C: float, C1: float,
-                     trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                     bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+                     trunc: TruncationConfig = DEFAULT_TRUNCATION) -> float:
     """C2 from the affine rearrangement of its defining equation:
 
     C2 = -(F2/F1) * (1 - a^2/(2(D+1))) / (4 sqrt(D+1)) - a*C1/(4 sqrt(D+1)).
     """
     ecc = Eccentricity.from_D(p.D)
     sq = math.sqrt(p.D + 1.0)
-    f1 = _checked_f1(eval_F1(C, ecc, trunc, bcfg).value)
-    f2 = eval_F2(C, ecc, trunc, bcfg).value
+    f1 = _checked_f1(eval_F1(C, ecc, trunc).value)
+    f2 = eval_F2(C, ecc, trunc).value
     bracket_term = 1.0 - p.a * p.a / (2.0 * (p.D + 1.0))
     return -(f2 / f1) * bracket_term / (4.0 * sq) - p.a * C1 / (4.0 * sq)
 
 
 def residuals(p: Problem, C: float, C1: float, C2: float,
-              trunc: TruncationConfig = DEFAULT_TRUNCATION,
-              bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG) -> tuple[float, float, float]:
+              trunc: TruncationConfig = DEFAULT_TRUNCATION) -> tuple[float, float, float]:
     """Raw left-minus-right of the three equations at (C, C1, C2).
 
     Pure evaluation with series F, F1, F2; no solving.  Equation forms:
@@ -260,9 +255,9 @@ def residuals(p: Problem, C: float, C1: float, C2: float,
     """
     ecc = Eccentricity.from_D(p.D)
     sq = math.sqrt(p.D + 1.0)
-    f = eval_F(C, ecc, trunc, bcfg).value
-    f1 = eval_F1(C, ecc, trunc, bcfg).value
-    f2 = eval_F2(C, ecc, trunc, bcfg).value
+    f = eval_F(C, ecc, trunc).value
+    f1 = eval_F1(C, ecc, trunc).value
+    f2 = eval_F2(C, ecc, trunc).value
     r1 = 1.0 - p.D / (2.0 * (p.D + 1.0)) * f
     r2 = -(p.a / (2.0 * sq) * f + 0.5 * C1 * f1)
     r3 = -(
@@ -272,19 +267,17 @@ def residuals(p: Problem, C: float, C1: float, C2: float,
     return r1, r2, r3
 
 
-def solve_problem(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                  bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG,
-                  root_tol: float = 1e-12) -> SolveReport:
+def solve_problem(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> SolveReport:
     """Full numeric solve: C, then C1 and C2, then back-substituted residuals."""
     ecc = Eccentricity.from_D(p.D)
-    c_num, diag = solve_C_numeric(p, trunc, bcfg, root_tol)
-    c1_num = solve_C1_numeric(p, c_num, trunc, bcfg)
-    c2_num = solve_C2_numeric(p, c_num, c1_num, trunc, bcfg)
+    c_num, diag = solve_C_numeric(p, trunc)
+    c1_num = solve_C1_numeric(p, c_num, trunc)
+    c2_num = solve_C2_numeric(p, c_num, c1_num, trunc)
 
-    sv_f = eval_F(c_num, ecc, trunc, bcfg)
-    sv_f1 = eval_F1(c_num, ecc, trunc, bcfg)
-    sv_f2 = eval_F2(c_num, ecc, trunc, bcfg)
-    r1, r2, r3 = residuals(p, c_num, c1_num, c2_num, trunc, bcfg)
+    sv_f = eval_F(c_num, ecc, trunc)
+    sv_f1 = eval_F1(c_num, ecc, trunc)
+    sv_f2 = eval_F2(c_num, ecc, trunc)
+    r1, r2, r3 = residuals(p, c_num, c1_num, c2_num, trunc)
     scale = max(abs(sv_f1.value), abs(sv_f2.value))
     series_ok = diag["series_converged"] and sv_f.converged and sv_f1.converged and sv_f2.converged
     return SolveReport(

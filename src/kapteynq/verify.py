@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .bessel import DEFAULT_BESSEL_CONFIG, BesselConfig
+from .bessel import CROSSOVER_ORDER, MAX_ORDER, REL_TOL
 from .closedform import (
     asymptotics,
     bound_interval,
@@ -30,6 +30,7 @@ from .closedform import (
 from .errors import KapteynError
 from .kapteyn import (
     DEFAULT_TRUNCATION,
+    SAFETY_MARGIN,
     Eccentricity,
     TruncationConfig,
     eval_F,
@@ -38,7 +39,7 @@ from .kapteyn import (
     eval_trig_sums,
 )
 from .kepler import identity_rhs, orbit_state
-from .solver import Problem, solve_C1_numeric, solve_C2_numeric, solve_problem
+from .solver import ROOT_TOL, Problem, solve_C1_numeric, solve_C2_numeric, solve_problem
 
 __all__ = ["run_verification", "verification_passed", "derived_C2"]
 
@@ -67,9 +68,7 @@ def _check(fn):
         return {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
-                     bcfg: BesselConfig = DEFAULT_BESSEL_CONFIG,
-                     root_tol: float = 1e-12) -> dict:
+def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION) -> dict:
     """Run every verification check; returns the full report dict."""
     t_start = time.perf_counter()
 
@@ -77,7 +76,7 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
 
     def solve_at(d: float):
         if d not in solves:
-            solves[d] = solve_problem(Problem(D=d, a=1.0), trunc, bcfg, root_tol)
+            solves[d] = solve_problem(Problem(D=d, a=1.0), trunc)
         return solves[d]
 
     def closed_form_exactness():
@@ -85,7 +84,7 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
         worst = 0.0
         for d in _D_GRID:
             ecc = Eccentricity.from_D(d)
-            sv = eval_F(closed_C(d), ecc, trunc, bcfg)
+            sv = eval_F(closed_C(d), ecc, trunc)
             err = abs(d / (2.0 * (d + 1.0)) * sv.value - 1.0)
             worst = max(worst, err)
             rows.append({"D": d, "error": err, "terms": sv.terms_used,
@@ -128,14 +127,13 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
         a = 1.0
         approx = asymptotics(d, a)
         err_c = abs(closed_C(d) - approx.c_small_d)
-        tight = TruncationConfig(abs_tol=1e-5, max_terms=4_000_000,
-                                 safety_margin=trunc.safety_margin)
+        tight = TruncationConfig(abs_tol=1e-5, max_terms=4_000_000)
         p = Problem(D=d, a=a)
         c_root = closed_C(d)  # the exact root: C1/C2 only need the root, and
         # the numeric root solve at small D is tested in
         # tests/test_solver.py::TestSolveC::test_small_d_converges
-        c1 = solve_C1_numeric(p, c_root, tight, bcfg)
-        c2 = solve_C2_numeric(p, c_root, c1, tight, bcfg)
+        c1 = solve_C1_numeric(p, c_root, tight)
+        c2 = solve_C2_numeric(p, c_root, c1, tight)
         err_c1 = abs(c1 - approx.c1_small_d)
         err_c2 = abs(c2 - approx.c2_small_d)
         passed = err_c <= 2e-9 and err_c1 <= d * d and err_c2 <= 1e-3
@@ -167,8 +165,8 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
             ecc = Eccentricity.from_D(d)
             c = closed_C(d)
             _, f1_exact, f2_exact = exact_series_values(d)
-            f1 = eval_F1(c, ecc, trunc, bcfg).value
-            f2 = eval_F2(c, ecc, trunc, bcfg).value
+            f1 = eval_F1(c, ecc, trunc).value
+            f2 = eval_F2(c, ecc, trunc).value
             e1 = abs(f1 - f1_exact) / abs(f1_exact)
             e2 = abs(f2 - f2_exact) / abs(f2_exact)
             worst = max(worst, e1, e2)
@@ -183,7 +181,7 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
             rep = solve_at(d)
             for a in _A_GRID:
                 p = Problem(D=d, a=a)
-                c1 = solve_C1_numeric(p, rep.C_numeric, trunc, bcfg)
+                c1 = solve_C1_numeric(p, rep.C_numeric, trunc)
                 ref = closed_C1(d, a)
                 err = abs(c1 - ref) / ref
                 worst = max(worst, err)
@@ -197,7 +195,7 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
             ecc = Eccentricity.from_eps(eps)
             for i in range(_E_POINTS):
                 e_val = _E_MARGIN + (math.pi - 2 * _E_MARGIN) * i / (_E_POINTS - 1)
-                s0, s1, s2 = eval_trig_sums(e_val, ecc, trunc, bcfg)
+                s0, s1, s2 = eval_trig_sums(e_val, ecc, trunc)
                 r0, r1, r2 = identity_rhs(orbit_state(e_val, eps))
                 worst[0] = max(worst[0], abs(s0 - r0))
                 worst[1] = max(worst[1], abs(s1 - r1))
@@ -244,9 +242,8 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
 
     def c2_adjudication():
         d, a = 1.0, 1.0
-        tight = TruncationConfig(abs_tol=1e-14, max_terms=trunc.max_terms,
-                                 safety_margin=trunc.safety_margin)
-        rep = solve_problem(Problem(D=d, a=a), tight, bcfg, root_tol)
+        tight = TruncationConfig(abs_tol=1e-14, max_terms=trunc.max_terms)
+        rep = solve_problem(Problem(D=d, a=a), tight)
         numeric = rep.C2_numeric
         paper = closed_C2_paper(d, a)
         derived = derived_C2(d, a)
@@ -294,11 +291,11 @@ def run_verification(trunc: TruncationConfig = DEFAULT_TRUNCATION,
         "config": {
             "abs_tol": trunc.abs_tol,
             "max_terms": trunc.max_terms,
-            "safety_margin": trunc.safety_margin,
-            "rel_tol": bcfg.rel_tol,
-            "crossover_order": bcfg.crossover_order,
-            "max_order": bcfg.max_order,
-            "root_tol": root_tol,
+            "safety_margin": SAFETY_MARGIN,
+            "rel_tol": REL_TOL,
+            "crossover_order": CROSSOVER_ORDER,
+            "max_order": MAX_ORDER,
+            "root_tol": ROOT_TOL,
         },
         "runtime_ms": 0,
     }

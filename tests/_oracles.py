@@ -44,18 +44,21 @@ def jn_backward(n: int, x, dps: int = 50):
 
 
 def jn(n: int, x, dps: int = 40):
-    """Reference J_n(x): mpmath besselj for moderate orders, recurrence beyond."""
+    """Reference J_n(x): mpmath besselj for moderate orders; above order 3000
+    Bessel's integral (``jn_path``) for x < n, the recurrence otherwise."""
+    if n > 3000:
+        return jn_path(n, x, dps)[0] if x < n else jn_backward(n, x, dps=max(dps, 35))
     with mp.workdps(dps):
-        xm = mp.mpf(x)
-        if n <= 3000:
-            return mp.besselj(n, xm)
-    return jn_backward(n, x, dps=max(dps, 35))
+        return mp.besselj(n, mp.mpf(x))
 
 
 def jn_prime(n: int, x, dps: int = 40):
     if n == 0:
         return -jn(1, x, dps)
-    return (jn(n - 1, x, dps) - jn(n + 1, x, dps)) / 2
+    if n > 3000 and x < n:
+        return jn_path(n, x, dps)[1]
+    with mp.workdps(dps):  # the difference cancels: take it at dps digits
+        return (jn(n - 1, x, dps) - jn(n + 1, x, dps)) / 2
 
 
 def kepler_bisect(M, eps, dps: int = 40):

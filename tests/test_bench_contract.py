@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from kapteynq import Eccentricity, Problem, bessel
-from kapteynq.bessel import DEFAULT_BESSEL_CONFIG
 from kapteynq.kapteyn import DEFAULT_TRUNCATION
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 # the leading parameters that the tracer's per-span info reads by position
 READ_ARGS = {
-    ("bessel", "_diagonal_table_cached"): ("eps", "n_max", "cfg"),
+    ("bessel", "_diagonal_table_cached"): ("eps", "n_max"),
     ("bessel", "_miller_diag_block"): ("eps", "n_lo", "n_hi"),
     ("bessel", "_debye_batch"): ("n_arr", "eps"),
     ("bessel", "_interp_band"): ("eps", "n_arr", "n_lo", "n_hi"),
@@ -62,11 +61,10 @@ def _info_cases():
 
     ``None`` as expected info: the info is checked against the result, below.
     """
-    cfg = DEFAULT_BESSEL_CONFIG
     eps = 1.0 / math.sqrt(1.01)  # D = 0.01: a band above the crossover
     n_arr = np.arange(2001, 2101, dtype=np.int64)
-    build = ("bessel._diagonal_table_cached", (0.5, 64, cfg))
-    interp = ("bessel._interp_band", (eps, n_arr, 2001, bessel._band_hi(eps, cfg)))
+    build = ("bessel._diagonal_table_cached", (0.5, 64))
+    interp = ("bessel._interp_band", (eps, n_arr, 2001, bessel._band_hi(eps)))
     ecc = Eccentricity.from_D(1.0)
     return [
         (*build, (), (0.5, 64, False)),
@@ -76,7 +74,7 @@ def _info_cases():
         ("bessel._diag_point", (eps, 2500), (interp,), True),
         (*interp, (), 100),
         ("kapteyn._eval_series",
-         (0.5 * (ecc.g + 1.0), ecc, DEFAULT_TRUNCATION, cfg, "F1"), (), None),
+         (0.5 * (ecc.g + 1.0), ecc, DEFAULT_TRUNCATION, "F1"), (), None),
         ("solver.solve_C_numeric", (Problem(D=1.0, a=1.0),), (), None),
         ("verify._check", (_closed_form_exactness,), (), "_closed_form_exactness"),
     ]

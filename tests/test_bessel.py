@@ -10,8 +10,6 @@ import pytest
 
 from kapteynq import bessel
 from kapteynq.bessel import (
-    DEFAULT_BESSEL_CONFIG,
-    BesselConfig,
     bessel_j,
     bessel_j_prime,
     kapteyn_coeff,
@@ -19,7 +17,7 @@ from kapteynq.bessel import (
 )
 from kapteynq.errors import NonFinite, OrderTooLarge
 
-from _oracles import jn, jn_path, jn_prime, rel_err
+from _oracles import jn, jn_backward, jn_path, jn_prime, rel_err
 
 
 def exact_x(n, eps):
@@ -99,14 +97,6 @@ class TestErrors:
         with pytest.raises(ValueError):
             kapteyn_coeff(5, 1.5)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BesselConfig(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            BesselConfig(crossover_order=0)
-        with pytest.raises(ValueError):
-            BesselConfig(crossover_order=10, max_order=5)
-
 
 class TestDebyePolynomials:
     def test_u1_u2_u3_literals(self):
@@ -143,6 +133,26 @@ class TestDebyePolynomials:
             assert np.array_equal(bits(v), bits([horner(p, t) for p in bessel._V_POLYS]))
             overflowed += int(np.isinf(u).any())
         assert overflowed >= 50
+
+
+class TestOracles:
+    @pytest.mark.parametrize("n,eps", [(500, 0.9), (2900, 0.99)])
+    def test_jn_path_matches_besselj(self, n, eps):
+        x = exact_x(n, eps)
+        j, jp = jn_path(n, x, dps=35)
+        with mp.workdps(40):
+            assert abs(j / mp.besselj(n, x) - 1) <= 1e-30
+            assert abs(jp / mp.besselj(n, x, derivative=1) - 1) <= 1e-30
+
+    def test_jn_path_matches_recurrence_above_3000(self):
+        # jn and jn_prime take jn_path above order 3000
+        n, eps = 3500, 0.95
+        x = exact_x(n, eps)
+        j, jp = jn_path(n, x, dps=35)
+        with mp.workdps(40):
+            ref_p = (jn_backward(n - 1, x, dps=35) - jn_backward(n + 1, x, dps=35)) / 2
+            assert abs(j / jn_backward(n, x, dps=35) - 1) <= 1e-30
+            assert abs(jp / ref_p - 1) <= 1e-30
 
 
 class TestAgainstOracle:
@@ -221,7 +231,7 @@ class TestAgainstOracle:
         # (2k/x') J_k - J_{k+1} the D = 0.001 lanes are up to 7e-14 off
         eps = 1.0 / math.sqrt(1.0 + D)
         lo = math.floor(2.0 / eps) + 1
-        hi = max(2000, bessel._band_hi(eps, DEFAULT_BESSEL_CONFIG))
+        hi = max(2000, bessel._band_hi(eps))
         rng = np.random.default_rng(int(D * 1000))
         n = np.concatenate([[lo, hi], rng.integers(lo, hi + 1, 12)])
         j, jp = bessel._seeded_ladder(eps, n)
@@ -257,10 +267,9 @@ class TestRecurrence:
 
 class TestCrossoverConsistency:
     def test_paths_agree_at_crossover(self):
-        cfg = DEFAULT_BESSEL_CONFIG
         worst = 0.0
         for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for n in range(cfg.crossover_order - 5, cfg.crossover_order + 6):
+            for n in range(bessel.CROSSOVER_ORDER - 5, bessel.CROSSOVER_ORDER + 6):
                 x = n * eps
                 small = bessel._miller_scalar(x, (n,))[n]
                 large, _, _, _ = bessel._debye_scalar(n, eps)
@@ -327,7 +336,7 @@ class TestDiagonalTable:
     def test_band_vs_oracle(self, eps, n_max, band_hi, extra):
         tab = bessel.diagonal_table(eps, n_max)
         if band_hi < n_max:
-            assert bessel._band_hi(eps, DEFAULT_BESSEL_CONFIG) == band_hi
+            assert bessel._band_hi(eps) == band_hi
         # no band declares a worse envelope than 2e-13
         band = slice(2000, band_hi)
         assert np.all(tab.rel_j[band] <= 2e-13)
@@ -480,9 +489,9 @@ class TestBitIdentity:
                                         (0.05, 4_658), (0.0898, 2_001)])
     def test_band_hi_unchanged(self, D, b_hi, monkeypatch):
         eps = 1.0 / math.sqrt(1.0 + D)
-        assert bessel._band_hi.__wrapped__(eps, DEFAULT_BESSEL_CONFIG) == b_hi
+        assert bessel._band_hi.__wrapped__(eps) == b_hi
         monkeypatch.setattr(bessel, "_debye_batch", _masked_debye_batch)
-        assert bessel._band_hi.__wrapped__(eps, DEFAULT_BESSEL_CONFIG) == b_hi
+        assert bessel._band_hi.__wrapped__(eps) == b_hi
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 16, 39, 81])
     def test_clenshaw_matches_chebval(self, length):
@@ -559,11 +568,10 @@ class TestTableGrowth:
     @pytest.mark.parametrize("D", [0.01, 0.02, 0.05])
     def test_band_end_matches_full_debye_pass(self, D):
         eps = 1.0 / math.sqrt(1.0 + D)
-        cfg = DEFAULT_BESSEL_CONFIG
-        b_hi = bessel._band_hi.__wrapped__(eps, cfg)
-        n_arr = np.arange(cfg.crossover_order + 1, 4 * b_hi, dtype=np.int64)
+        b_hi = bessel._band_hi.__wrapped__(eps)
+        n_arr = np.arange(bessel.CROSSOVER_ORDER + 1, 4 * b_hi, dtype=np.int64)
         _, _, rel_j, rel_jp = bessel._debye_batch(n_arr, eps)
-        bad = np.nonzero(np.maximum(rel_j, rel_jp) > max(cfg.rel_tol, 2e-14))[0]
+        bad = np.nonzero(np.maximum(rel_j, rel_jp) > bessel.REL_TOL)[0]
         assert len(bad) == bad[-1] + 1  # a prefix of the Debye range
         assert b_hi == n_arr[bad[-1]]
 
@@ -577,4 +585,4 @@ class TestTableGrowth:
         bessel._diagonal_table_cached.cache_clear()
         gc.collect()
         assert all(r() is None for r in refs)
-        assert (0.9, DEFAULT_BESSEL_CONFIG) not in bessel._LARGEST
+        assert 0.9 not in bessel._LARGEST

@@ -46,6 +46,8 @@ def test_solve_exits_0(out):
     ["sweep", "--d-min", "2", "--d-max", "1", "--points", "3"],
     ["identity", "--eps", "1.5"],
     ["solve", "--d", "1", "--bogus"],
+    ["solve", "--d", "1", "--tol", "inf"],
+    ["identity", "--eps", "0.8", "--tol", "inf"],
 ])
 def test_invalid_input_exits_2_and_writes_nothing(argv, out):
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -99,7 +101,7 @@ def test_verify_failure_exits_1(monkeypatch, out):
     report = {"results": {"closed_form_exactness": {"passed": False, "max_error": 1.0}},
               "residuals": passed, "bounds": passed, "identity_battery": passed,
               "c2_adjudication": passed, "runtime_ms": 0}
-    monkeypatch.setattr(cli, "run_verification", lambda trunc, bcfg: report)
+    monkeypatch.setattr(cli, "run_verification", lambda trunc: report)
     assert cli.main(["verify", "--format", "json", "--out", str(out)]) == 1
     assert json.loads(out.read_text()) == report
 
@@ -134,6 +136,14 @@ def test_verify_json_is_byte_stable(verify_runs):
     first, second = verify_runs
     assert first == second
     assert '"runtime_ms": 0' in first
+
+
+def test_verify_report_config_block(verify_runs):
+    # the seven keys in their order, with the package's fixed values
+    assert list(json.loads(verify_runs[0])["config"].items()) == [
+        ("abs_tol", 1e-12), ("max_terms", 200000), ("safety_margin", 1e-6),
+        ("rel_tol", 1e-13), ("crossover_order", 2000), ("max_order", 200000),
+        ("root_tol", 1e-12)]
 
 
 def test_verification_passed_reads_every_part_of_a_real_report(verify_runs):

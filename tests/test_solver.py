@@ -5,7 +5,6 @@ import math
 import pytest
 
 from kapteynq import closed_C, closed_C1, closed_C2_paper
-from kapteynq.bessel import DEFAULT_BESSEL_CONFIG
 from kapteynq.errors import DegenerateF1, MaxTermsExceeded
 from kapteynq.kapteyn import Eccentricity, TruncationConfig, domain_floor, eval_F
 from kapteynq.solver import (
@@ -47,7 +46,7 @@ class TestSolveC:
 
     def test_residual_contract(self):
         trunc = TruncationConfig()
-        c, diag = solve_C_numeric(Problem(D=2.0, a=1.0), trunc, root_tol=1e-12)
+        c, diag = solve_C_numeric(Problem(D=2.0, a=1.0), trunc)
         assert abs(diag["residual"]) <= max(1e-12, 10.0 * trunc.abs_tol)
 
     def test_tolerance_scaling(self):
@@ -86,8 +85,8 @@ class TestFExceeds:
         ecc = Eccentricity.from_D(0.05)
         c = ecc.g + 2e-6 * (1.0 - ecc.g)
         with pytest.raises(MaxTermsExceeded, match=r"term n=199224 .*will not help"):
-            _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 42_000.0)
-        assert _f_exceeds(c, ecc, TruncationConfig(), DEFAULT_BESSEL_CONFIG, 50.0) is True
+            _f_exceeds(c, ecc, TruncationConfig(), 42_000.0)
+        assert _f_exceeds(c, ecc, TruncationConfig(), 50.0) is True
 
 
 class TestSolveC1C2:
