@@ -3,32 +3,34 @@
 The evaluation paths:
 
 * ascending power series for x <= 2 (A&S 9.1.10);
-* Miller backward recurrence with the even-order normalization
-  J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.12, Numerical Recipes style): for
-  the diagonal tables' orders up to the fixed crossover order
-  ``CROSSOVER_ORDER``, as one lockstep vector kernel over all of them
-  (``_miller_diag_block``), and for ``bessel_j``/``bessel_j_prime`` at a
-  general argument (``_miller_scalar``);
 * Debye uniform large-order expansion of J_nu(nu*sech(alpha)) and its
-  derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) above the crossover;
+  derivative (A&S 9.3.7/9.3.13, DLMF 10.19.3-10.19.4) wherever its own
+  error estimate meets ``REL_TOL``;
 * a Debye-seeded ladder (``_seeded_ladder``) for any array of diagonal
-  orders n with n*eps > 2 that the other paths do not serve.
+  orders n with n*eps > 2 that the other paths do not serve;
+* Miller backward recurrence with the even-order normalization
+  J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.12, Numerical Recipes style) for
+  ``bessel_j``/``bessel_j_prime`` at a general argument (``_miller_scalar``).
 
 The Debye expansion is asymptotic: its attainable accuracy at order n is
 limited by the smallest term of the correction series, which degrades as
 eps -> 1.  At a fixed argument it improves quickly with the order, so
 ``_seeded_ladder`` seeds each order n by Debye a short way higher, at its own
 argument, and carries all of them down at once by the backward recurrence
-(DLMF 10.6.1), with a cost that does not grow with n.  The orders above the
-crossover where the expansion cannot reach the tolerance ``REL_TOL`` form a
-band crossover+1..b_hi that eps alone decides (``_band_hi``).  The table
-builder interpolates the band along the diagonal n -> J_n(n*eps) with a
-Chebyshev fit, fitted once per band on anchors that one ladder call
-computes, and measures the fit's error against the ladder between its
-nodes; a band of fewer orders than the fit has anchors takes the ladder at
-each order, and ``kapteyn_coeff*`` take it for one order.  Every returned
-value carries a per-order relative error estimate so downstream series can
-report honest tail bounds.
+(DLMF 10.6.1), with a cost that does not grow with n.
+
+A diagonal table routes its orders by eps alone.  The power series serves
+n*eps <= 2.  Above that edge, the orders where the expansion cannot reach
+``REL_TOL`` form a band edge+1..b_hi (``_band_hi``): 1715 orders at
+D = 0.1 and 32 at D = 3, none at D = 100.  The ladder serves the band
+up to ``CROSSOVER_ORDER``; above it the table builder interpolates the band
+along the diagonal n -> J_n(n*eps) with a Chebyshev fit, fitted once per band
+on anchors that one ladder call computes, and measures the fit's error
+against the ladder between its nodes; a band of fewer orders than the fit
+has anchors takes the ladder at each order, and ``kapteyn_coeff*`` take it
+for one order.  Debye serves every order above b_hi.  Every returned value
+carries a per-order relative error estimate so downstream series can report
+honest tail bounds.
 
 Every path is elementwise in n, so a table value depends on (eps, n) only.
 Tables grow by extension: a larger table at the same eps copies the largest
@@ -60,25 +62,21 @@ _SERIES_X_MAX = 2.0
 _RESCALE = 1e250
 _RESCALE_INV = 1e-250
 # Per-path relative error envelopes, validated against 50-digit oracles in the
-# test suite.  The Miller figure covers recurrence roundoff over the block's
-# ladders, which start a margin above the crossover order (about 2000 steps).
-# The anchored interpolant measures its own envelope (``_diag_interpolant``).
-_MILLER_REL_ERR = 2e-13
+# test suite.  The ladder and the anchored interpolant declare their own
+# (``_LADDER_REL_ERR``, ``_diag_interpolant``).
 _SERIES_REL_ERR = 5e-16
 _DEBYE_FLOOR = 5e-15
 _DEBYE_TERMS = 16  # correction polynomials U_1..U_16 / V_1..V_16
 _DEBYE_CHUNK = 1 << 15  # orders per pass of the Debye batch and the interpolant
-# Miller-block steps between renewals of the views over the advanced lanes;
-# at the block's widths (up to the crossover order) strides from 8 to 4096
-# time within 10 % of each other.
-_LANE_STRIDE = 32
 
 
 # The relative accuracy the Debye expansion must reach to serve an order
-# without help.  Above CROSSOVER_ORDER the large-order paths take over from the
-# Miller block; it sits where the Debye expansion agrees with backward
-# recurrence to 1e-10 across eccentricities up to ~0.95 (see the consistency
-# tests).  MAX_ORDER caps the order of the scalar entry points.
+# without help.  CROSSOVER_ORDER splits the orders Debye cannot serve: the
+# ladder takes those up to it, the anchored interpolant those above; the
+# scalar entry points try Debye above it only.  It sits where the Debye
+# expansion agrees with backward recurrence to 1e-10 across eccentricities up
+# to ~0.95 (see the consistency tests).  MAX_ORDER caps the order of the
+# scalar entry points.
 REL_TOL = 1e-13
 CROSSOVER_ORDER = 2000
 MAX_ORDER = 200_000
@@ -363,88 +361,6 @@ def _miller_scalar(x: float, orders: tuple[int, ...]) -> dict[int, float]:
     return {k: caps[k] / norm for k in want}
 
 
-def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
-    """J_n(n*eps) and J_n'(n*eps) for consecutive n in [n_lo, n_hi].
-
-    One backward recurrence per element, run in lockstep as vector ops: the
-    ladder index k sweeps down once, and element n is seeded when k passes
-    n + margin.  Elements are seeded in order of decreasing n, so the seeded
-    ones are always a suffix of the vector.  Only that suffix is advanced,
-    in place, through views renewed every ``_LANE_STRIDE`` steps that also
-    take in the elements seeded before the next renewal; elements not yet
-    seeded hold zeros, which the recurrence keeps at zero.  Each
-    element's arithmetic is independent of the others, so its value does not
-    depend on n_lo or n_hi.
-
-    Orders with n*eps <= 2 belong to the series path.  The overflow check
-    runs every 8 steps, which leaves room for a growth of 2k/x per step up to
-    about 1e7: eps above 2e-6 at any order.
-    """
-    width = n_hi - n_lo + 1
-    n_arr = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    x = n_arr * eps
-    delta = _order_margin(eps)
-    m_top = n_hi + delta
-
-    jk = np.zeros(width)
-    jk1 = np.zeros(width)
-    nxt = np.zeros(width)  # J_{k-1}, before it rotates into jk
-    norm = np.zeros(width)
-    comp = np.zeros(width)  # Kahan compensation for the normalization sum
-    y = np.zeros(width)  # Kahan scratch
-    t = np.zeros(width)  # Kahan scratch, rotates with norm
-    c_lo = np.zeros(width)  # J_{n-1}
-    c_mid = np.zeros(width)  # J_n
-    c_hi = np.zeros(width)  # J_{n+1}
-    inv_x = 1.0 / x
-
-    for k in range(m_top, 0, -1):
-        i = k - delta - n_lo
-        if 0 <= i < width:
-            jk[i] = 1e-30
-            jk1[i] = 0.0
-        if (m_top - k) % _LANE_STRIDE == 0:
-            # views over the lanes seeded so far and in the next steps
-            live = slice(max(0, i - _LANE_STRIDE + 1), width)
-            jk_v, jk1_v, nxt_v, norm_v, t_v, comp_v, y_v, inv_x_v = (
-                a[live] for a in (jk, jk1, nxt, norm, t, comp, y, inv_x))
-        i = k + 1 - n_lo  # element with n - 1 == k
-        if 0 <= i < width:
-            c_lo[i] = jk[i]
-        i = k - n_lo
-        if 0 <= i < width:
-            c_mid[i] = jk[i]
-        i = k - 1 - n_lo
-        if 0 <= i < width:
-            c_hi[i] = jk[i]
-        if k % 2 == 0:
-            # y = 2 jk - comp;  t = norm + y;  comp = (t - norm) - y;  norm = t
-            np.multiply(jk_v, 2.0, out=y_v)
-            np.subtract(y_v, comp_v, out=y_v)
-            np.add(norm_v, y_v, out=t_v)
-            np.subtract(t_v, norm_v, out=comp_v)
-            np.subtract(comp_v, y_v, out=comp_v)
-            norm, t = t, norm
-            norm_v, t_v = t_v, norm_v
-        # J_{k-1} = (2k/x) J_k - J_{k+1}
-        np.multiply(inv_x_v, 2.0 * k, out=nxt_v)
-        np.multiply(nxt_v, jk_v, out=nxt_v)
-        np.subtract(nxt_v, jk1_v, out=nxt_v)
-        jk1, jk, nxt = jk, nxt, jk1
-        jk1_v, jk_v, nxt_v = jk_v, nxt_v, jk1_v
-        if k % 8 == 0:
-            big = np.abs(jk_v) > _RESCALE
-            if big.any():
-                for arr in (jk, jk1, norm, comp, c_lo, c_mid, c_hi):
-                    arr[live][big] *= _RESCALE_INV
-    if n_lo == 1:
-        c_lo[0] = jk[0]  # J_0 for the n = 1 element
-    norm = norm + (jk - comp)
-    j = c_mid / norm
-    jp = (c_lo - c_hi) / (2.0 * norm)
-    return j, jp
-
-
 def _split26(v):
     """Dekker split of v into two halves of at most 26 significant bits."""
     c = 134217729.0 * v  # 2**27 + 1
@@ -470,17 +386,15 @@ def _two_sum(a, b):
 def _shift_to_exact_x(eps: float, n: np.ndarray, j: np.ndarray, jp: np.ndarray):
     """Move recurrence values at the float orders n to x = n*eps.
 
-    The recurrences (the Miller block and ``_seeded_ladder``) use the
-    coefficient 2k * fl(1 / fl(n*eps)), so they compute J and J' at
-    x' = 1 / fl(1 / fl(n*eps)), up to two roundings away from n*eps.  Along
-    the diagonal d ln J / d ln x is about n*s, so this costs up to
-    ~2.2e-16 * n*s of relative accuracy: past the Miller envelope already in
-    the Miller region at eps = 0.6 (2.2e-13 at n = 1889), and 1e-12 at an
-    anchor at n = 400000, eps = 0.9995.
+    ``_seeded_ladder`` uses the coefficient 2k * fl(1 / fl(n*eps)), so it
+    computes J and J' at x' = 1 / fl(1 / fl(n*eps)), up to two roundings
+    away from n*eps.  Along the diagonal d ln J / d ln x is about n*s, so
+    this costs up to ~2.2e-16 * n*s of relative accuracy: 2.2e-13 at
+    n = 1889, eps = 0.6, and 1e-12 at an anchor at n = 400000, eps = 0.9995.
     x - x' is formed from error-free products, and J, J' are moved by one
     Taylor step each, with J'' from Bessel's equation.
     """
-    inv_x = 1.0 / (n * eps)  # as in _miller_diag_block
+    inv_x = 1.0 / (n * eps)  # as in _seeded_ladder
     # n*eps*inv_x - 1 = (x - x') / x': n*e1 is exact, and the rounding of
     # p = n*e1*inv_x is recovered by Dekker's product
     e1 = math.ldexp(round(math.ldexp(eps, 26)), -26)
@@ -574,8 +488,8 @@ def _seeded_ladder(eps: float, n: np.ndarray):
 
     Each lane is seeded by Debye at its own order m = n + L (``_debye_seeds``)
     and carried down to n by J_{k-1} = (2k/x') J_k - J_{k+1} at
-    x' = 1 / fl(1 / fl(n*eps)), as in the Miller block, then moved to n*eps
-    by ``_shift_to_exact_x``.  Above the turning point this direction is
+    x' = 1 / fl(1 / fl(n*eps)), then moved to n*eps by
+    ``_shift_to_exact_x``.  Above the turning point this direction is
     stable for J and the seeds are absolute, so no normalization sum is
     needed and the cost does not grow with n.  The lanes run in lockstep,
     sorted by decreasing L: a lane joins at step L_max - L, so every lane
@@ -619,6 +533,14 @@ def _seeded_ladder(eps: float, n: np.ndarray):
     return _shift_to_exact_x(eps, nf, out_j, out_jp)
 
 
+def _miller_diag_block(eps: float, n_lo: int, n_hi: int):
+    """(J_n(n eps), J_n'(n eps)) for the consecutive orders n_lo..n_hi of a
+    table that the ladder serves.  A name of its own, because the benchmark's
+    tracer (``benchmarks/tracer.py``) binds it and reads (eps, n_lo, n_hi) to
+    count these orders."""
+    return _seeded_ladder(eps, np.arange(n_lo, n_hi + 1, dtype=np.int64))
+
+
 def _diag_point(eps: float, n: int):
     """(J_n(n eps), J_n'(n eps)) for one order n with n*eps > 2: a
     ``_seeded_ladder`` of one lane."""
@@ -635,6 +557,9 @@ def _diag_point(eps: float, n: int):
 _INTERP_PER_SPAN = 12
 _INTERP_MIN_ANCHORS = 16
 _INTERP_SAFETY = 8.0
+# The envelope declared for orders the ladder serves directly: the seeds'
+# own bound times the interpolant's safety factor.
+_LADDER_REL_ERR = _INTERP_SAFETY * _SEED_REL_ERR
 
 
 def _anchor_count(n_lo: int, n_hi: int) -> int:
@@ -715,8 +640,7 @@ def _interp_band(eps: float, n_arr: np.ndarray, n_lo: int, n_hi: int):
     chunking changes no value).
     """
     if n_hi - n_lo < _anchor_count(n_lo, n_hi):
-        rel = _INTERP_SAFETY * _SEED_REL_ERR
-        return *_seeded_ladder(eps, n_arr), rel, rel
+        return *_seeded_ladder(eps, n_arr), _LADDER_REL_ERR, _LADDER_REL_ERR
     s, lng_hi, lng_lo, _ = _eps_geometry(eps)
     a, b, coef_d, coef_dp, rel_j, rel_jp = _diag_interpolant(eps, n_lo, n_hi)
     j = np.empty(len(n_arr))
@@ -753,26 +677,33 @@ class DiagonalTable:
     rel_jp: np.ndarray
 
 
-# Ceiling on the defective band, all of which the anchored interpolant
-# serves; beyond it (eps extremely close to 1) Debye values are kept with
-# their large error estimates, which the series evaluators surface as
+# Ceiling on the defective band, all of which the ladder and the anchored
+# interpolant serve; beyond it (eps extremely close to 1) Debye values are kept
+# with their large error estimates, which the series evaluators surface as
 # degraded-accuracy diagnostics.
 _INTERP_MAX = 8_000_000
 
 
+def _series_edge(eps: float) -> int:
+    """The last order n with n*eps <= 2, at least 1: the power series serves
+    the table up to it."""
+    return max(1, int(math.floor(_SERIES_X_MAX / eps)))
+
+
 @lru_cache(maxsize=64)
 def _band_hi(eps: float) -> int:
-    """Last order b_hi of the defective Debye band crossover+1..b_hi.
+    """Last order b_hi of the defective Debye band edge+1..b_hi, edge being
+    ``_series_edge(eps)``.
 
-    The band holds the orders whose Debye error estimate exceeds
-    ``REL_TOL``.  The estimate falls as n grows, so the band is a
-    prefix of the Debye range, and b_hi does not depend on how many orders a
-    table asks for.  It is found by galloping (the order doubles from
-    crossover+1) and then by multisection; each round is one ``_debye_batch``
+    The band holds the orders above the series edge whose Debye error
+    estimate exceeds ``REL_TOL``.  The estimate falls as n grows, so the band
+    is a prefix of the orders above the edge, and b_hi does not depend on how
+    many orders a table asks for.  It is found by galloping (the order doubles
+    from edge+1) and then by multisection; each round is one ``_debye_batch``
     call on at most 32 orders.  The band is capped at ``_INTERP_MAX``.
-    Returns the crossover order when there is no band.
+    Returns the edge when there is no band.
     """
-    lo, hi = CROSSOVER_ORDER, _INTERP_MAX + 1  # lo is in the band or the crossover; hi is not
+    lo, hi = _series_edge(eps), _INTERP_MAX + 1  # lo is in the band or the edge; hi is not
     probes = [lo + 1]
     while probes[-1] < _INTERP_MAX:
         probes.append(min(2 * probes[-1], _INTERP_MAX))
@@ -818,39 +749,43 @@ def _diagonal_table_cached(eps: float, n_max: int) -> DiagonalTable:
 
 
 def _fill_orders(eps: float, n_old: int, j, jp, rel_j, rel_jp) -> None:
-    """Compute orders n_old+1..len(j) of a table in place.
+    """Compute orders n_old+1..len(j) of a table in place, routed by eps:
 
-    Each path is elementwise in n (the Miller block's lanes are independent,
-    and Debye, the shift to the exact argument and the interpolant act order
-    by order), and the band is fixed by eps, so the values do not depend on
-    n_old or on len(j).
+    * the power series up to the series edge ``_series_edge(eps)``;
+    * the band edge+1..b_hi (``_band_hi``) that Debye cannot serve: the
+      ladder up to ``CROSSOVER_ORDER`` (``_miller_diag_block``), the anchored
+      interpolant fitted on crossover+1..b_hi above it (``_interp_band``);
+    * Debye above b_hi.
+
+    Each path is elementwise in n (the ladder's lanes are independent, and
+    Debye and the interpolant act order by order), and the band is fixed by
+    eps, so the values do not depend on n_old or on len(j).
     """
     n_max = len(j)
-    n_series = min(n_max, max(1, int(math.floor(_SERIES_X_MAX / eps))))
+    n_series = min(n_max, _series_edge(eps))
     for n in range(n_old + 1, n_series + 1):
         x = n * eps
         j[n - 1] = _jn_series(n, x)
         jp[n - 1] = 0.5 * (_jn_series(n - 1, x) - _jn_series(n + 1, x))
 
-    n_miller_lo = max(n_old, n_series) + 1
-    n_miller_hi = min(n_max, CROSSOVER_ORDER)
-    if n_miller_hi >= n_miller_lo:
-        sl = slice(n_miller_lo - 1, n_miller_hi)
-        j[sl], jp[sl] = _shift_to_exact_x(eps, np.arange(n_miller_lo, n_miller_hi + 1.0),
-                                          *_miller_diag_block(eps, n_miller_lo, n_miller_hi))
-        rel_j[sl] = _MILLER_REL_ERR
-        rel_jp[sl] = _MILLER_REL_ERR
-
-    n_lo = max(n_old, CROSSOVER_ORDER) + 1
+    n_lo = max(n_old, n_series) + 1
     if n_max < n_lo:
         return
-    b_lo, b_hi = CROSSOVER_ORDER + 1, _band_hi(eps)
-    n_band_hi = min(n_max, b_hi)
-    if n_band_hi >= n_lo:
-        sl = slice(n_lo - 1, n_band_hi)
+    b_hi = _band_hi(eps)
+    n_hi = min(n_max, b_hi, CROSSOVER_ORDER)
+    if n_hi >= n_lo:
+        sl = slice(n_lo - 1, n_hi)
+        j[sl], jp[sl] = _miller_diag_block(eps, n_lo, n_hi)
+        rel_j[sl] = _LADDER_REL_ERR
+        rel_jp[sl] = _LADDER_REL_ERR
+        n_lo = n_hi + 1
+
+    n_hi = min(n_max, b_hi)
+    if n_hi >= n_lo:
+        sl = slice(n_lo - 1, n_hi)
         j[sl], jp[sl], rel_j[sl], rel_jp[sl] = _interp_band(
-            eps, np.arange(n_lo, n_band_hi + 1, dtype=np.int64), b_lo, b_hi)
-        n_lo = n_band_hi + 1
+            eps, np.arange(n_lo, n_hi + 1, dtype=np.int64), CROSSOVER_ORDER + 1, b_hi)
+        n_lo = n_hi + 1
 
     if n_max >= n_lo:
         sl = slice(n_lo - 1, n_max)

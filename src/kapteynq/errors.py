@@ -10,7 +10,7 @@ class OrderTooLarge(KapteynError):
 
 
 class NonFinite(KapteynError):
-    """An argument that must be finite is NaN or infinite."""
+    """An argument or a computed result that must be finite is NaN or infinite."""
 
 
 class SeriesError(KapteynError):

@@ -79,6 +79,9 @@ class Eccentricity:
         if not (D > 0.0) or not math.isfinite(D):
             raise ValueError(f"D must be positive and finite, got {D}")
         eps = 1.0 / math.sqrt(D + 1.0)
+        if eps == 1.0:
+            raise ValueError(f"D must be at least about 3.3e-16, below which "
+                             f"eps = 1/sqrt(D+1) rounds to 1; got {D}")
         s = math.sqrt(D / (D + 1.0))
         return cls(eps=eps, s=s, g=eps * math.exp(s) / (1.0 + s))
 

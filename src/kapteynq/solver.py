@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateF1, MaxTermsExceeded, NoBracket
+from .errors import DegenerateF1, MaxTermsExceeded, NoBracket, NonFinite
 from .kapteyn import (
     DEFAULT_TRUNCATION,
     SAFETY_MARGIN,
@@ -133,7 +133,7 @@ def solve_C_numeric(p: Problem,
     """
     ecc = Eccentricity.from_D(p.D)
     g = ecc.g
-    k = p.D / (2.0 * (p.D + 1.0))
+    k = 0.5 * (p.D / (p.D + 1.0))  # 2(D + 1) overflows for D near the largest double
     target_f = 1.0 / k
 
     margin = 2.0 * SAFETY_MARGIN
@@ -258,7 +258,7 @@ def residuals(p: Problem, C: float, C1: float, C2: float,
     f = eval_F(C, ecc, trunc).value
     f1 = eval_F1(C, ecc, trunc).value
     f2 = eval_F2(C, ecc, trunc).value
-    r1 = 1.0 - p.D / (2.0 * (p.D + 1.0)) * f
+    r1 = 1.0 - 0.5 * (p.D / (p.D + 1.0)) * f
     r2 = -(p.a / (2.0 * sq) * f + 0.5 * C1 * f1)
     r3 = -(
         (1.0 - p.a * p.a / (2.0 * (p.D + 1.0))) * f2 / (4.0 * sq)
@@ -268,7 +268,11 @@ def residuals(p: Problem, C: float, C1: float, C2: float,
 
 
 def solve_problem(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> SolveReport:
-    """Full numeric solve: C, then C1 and C2, then back-substituted residuals."""
+    """Full numeric solve: C, then C1 and C2, then back-substituted residuals.
+
+    Raises NonFinite when C1, C2, F, F1, F2 or a residual is not finite: C2
+    scales like a^2, which overflows for a near 1e154 and above.
+    """
     ecc = Eccentricity.from_D(p.D)
     c_num, diag = solve_C_numeric(p, trunc)
     c1_num = solve_C1_numeric(p, c_num, trunc)
@@ -279,6 +283,11 @@ def solve_problem(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> S
     sv_f2 = eval_F2(c_num, ecc, trunc)
     r1, r2, r3 = residuals(p, c_num, c1_num, c2_num, trunc)
     scale = max(abs(sv_f1.value), abs(sv_f2.value))
+    residual_vals = (r1, r2 / scale, r3 / scale)
+    for name, value in zip(("C1", "C2", "F", "F1", "F2", "r1", "r2", "r3"),
+                           (c1_num, c2_num, sv_f.value, sv_f1.value, sv_f2.value, *residual_vals)):
+        if not math.isfinite(value):
+            raise NonFinite(f"{name} = {value} is not finite at D={p.D}, a={p.a}")
     series_ok = diag["series_converged"] and sv_f.converged and sv_f1.converged and sv_f2.converged
     return SolveReport(
         C_numeric=c_num,
@@ -287,7 +296,7 @@ def solve_problem(p: Problem, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> S
         F=sv_f.value,
         F1=sv_f1.value,
         F2=sv_f2.value,
-        residuals=(r1, r2 / scale, r3 / scale),
+        residuals=residual_vals,
         terms_used=(sv_f.terms_used, sv_f1.terms_used, sv_f2.terms_used),
         bracket=diag["bracket"],
         converged=bool(diag["converged"] and series_ok),

@@ -349,12 +349,30 @@ class TestDiagonalTable:
             assert err_j <= tab.rel_j[n - 1] and err_jp <= tab.rel_jp[n - 1]
 
     def test_miller_region_against_oracle(self):
-        # before the shift to the exact argument n*eps, 2.2e-13 off here
+        # a recurrence at fl(n*eps), unshifted to the exact argument, is
+        # 2.2e-13 off here
         n, eps = 1889, 0.6
         tab = bessel.diagonal_table(eps, 2000)
         x = exact_x(n, eps)
-        assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= bessel._MILLER_REL_ERR
-        assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= bessel._MILLER_REL_ERR
+        assert rel_err(tab.j[n - 1], jn(n, x, dps=35)) <= 2e-13
+        assert rel_err(tab.jp[n - 1], jn_prime(n, x, dps=35)) <= 2e-13
+
+    @pytest.mark.parametrize("D", [0.1, 0.3, 1.0, 3.0])
+    def test_route_ends_against_oracle(self, D):
+        # the last ladder order b_hi, the first Debye order b_hi + 1, and the
+        # crossover order, which Debye serves from the series edge on
+        eps = 1.0 / math.sqrt(1.0 + D)
+        b_hi = bessel._band_hi(eps)
+        assert b_hi < 2000
+        tab = bessel.diagonal_table(eps, 2000)
+        for n in (b_hi, b_hi + 1, 2000):
+            ref, ref_p = jn_path(n, exact_x(n, eps), dps=35)
+            if abs(ref) < 1e-290:  # underflow policy: J_2000(1000) is 2e-394
+                assert tab.j[n - 1] == 0.0 and tab.jp[n - 1] == 0.0
+                continue
+            err_j, err_jp = rel_err(tab.j[n - 1], ref), rel_err(tab.jp[n - 1], ref_p)
+            assert err_j <= 2e-13 and err_jp <= 2e-13, n
+            assert err_j <= tab.rel_j[n - 1] and err_jp <= tab.rel_jp[n - 1], n
 
     def test_miller_block_lanes_are_independent(self):
         # an order's value does not depend on the range it is computed with,
@@ -486,7 +504,9 @@ class TestBitIdentity:
         assert got == [bessel._diag_point(eps, n) for eps, n in cases]
 
     @pytest.mark.parametrize("D,b_hi", [(0.001, 1_577_410), (0.01, 50_285), (0.02, 17_937),
-                                        (0.05, 4_658), (0.0898, 2_001)])
+                                        (0.05, 4_658), (0.0898, 2_001), (0.1, 1_717),
+                                        (0.3, 385), (1.0, 95), (3.0, 36), (10.0, 18),
+                                        (100.0, 20)])  # D = 100: no band, the series edge
     def test_band_hi_unchanged(self, D, b_hi, monkeypatch):
         eps = 1.0 / math.sqrt(1.0 + D)
         assert bessel._band_hi.__wrapped__(eps) == b_hi
@@ -518,7 +538,8 @@ def _built_fresh(eps, sizes):
 class TestTableGrowth:
     @pytest.mark.parametrize("eps,small,big", [
         (0.05, 17, 40),                      # power series only
-        (1.0 / math.sqrt(2.0), 1500, 4096),  # series, Miller block and Debye (D = 1)
+        (1.0 / math.sqrt(2.0), 1500, 4096),  # series, ladder and Debye (D = 1)
+        (1.0 / math.sqrt(1.3), 300, 4096),  # ladder 3..385, then Debye (D = 0.3)
         (1.0 / math.sqrt(1.05), 3000, 8192),  # band 2001..4658 (D = 0.05)
         (1.0 / math.sqrt(1.01), 16384, 32768),  # interpolated band 2001..50285 (D = 0.01)
     ])
@@ -562,18 +583,38 @@ class TestTableGrowth:
             bessel.diagonal_table(eps, n_max)
         bessel._diagonal_table_cached.cache_clear()
         assert sorted(lanes) == list(range(3, 2001))  # series up to order 2
-        # one ladder call for the one fit, each anchor and check order once
-        assert len(calls) == 1 and len(set(calls[0])) == len(calls[0]) > 0
+        # the recurrence orders reach the ladder through the block, once
+        # each; besides them one ladder call for the one fit, each anchor and
+        # check order once
+        fits = [c for c in calls if c[0] > 2000]
+        assert sorted(sum((c for c in calls if c[0] <= 2000), [])) == list(range(3, 2001))
+        assert len(fits) == 1 and len(set(fits[0])) == len(fits[0]) > 0
 
-    @pytest.mark.parametrize("D", [0.01, 0.02, 0.05])
+    @pytest.mark.parametrize("D", [0.01, 0.02, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0])
     def test_band_end_matches_full_debye_pass(self, D):
         eps = 1.0 / math.sqrt(1.0 + D)
         b_hi = bessel._band_hi.__wrapped__(eps)
-        n_arr = np.arange(bessel.CROSSOVER_ORDER + 1, 4 * b_hi, dtype=np.int64)
+        n_arr = np.arange(bessel._series_edge(eps) + 1, 4 * b_hi, dtype=np.int64)
         _, _, rel_j, rel_jp = bessel._debye_batch(n_arr, eps)
         bad = np.nonzero(np.maximum(rel_j, rel_jp) > bessel.REL_TOL)[0]
-        assert len(bad) == bad[-1] + 1  # a prefix of the Debye range
+        assert len(bad) == bad[-1] + 1  # a prefix of the orders above the series edge
         assert b_hi == n_arr[bad[-1]]
+
+    def test_bad_debye_orders_below_the_crossover_are_a_prefix(self):
+        # the gallop of _band_hi from the series edge assumes it
+        for D in np.geomspace(0.085, 1e5, 400):
+            eps = 1.0 / math.sqrt(1.0 + D)
+            edge = bessel._series_edge(eps)
+            n_arr = np.arange(edge + 1, bessel.CROSSOVER_ORDER + 1, dtype=np.int64)
+            _, _, rel_j, rel_jp = bessel._debye_batch(n_arr, eps)
+            bad = np.maximum(rel_j, rel_jp) > bessel.REL_TOL
+            count = int(bad.sum())
+            assert not bad[count:].any(), D
+            b_hi = bessel._band_hi.__wrapped__(eps)
+            if count < len(n_arr):
+                assert b_hi == edge + count, D
+            else:
+                assert b_hi > bessel.CROSSOVER_ORDER, D
 
     def test_no_table_outlives_the_cache(self):
         bessel._diagonal_table_cached.cache_clear()

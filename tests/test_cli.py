@@ -48,10 +48,18 @@ def test_solve_exits_0(out):
     ["solve", "--d", "1", "--bogus"],
     ["solve", "--d", "1", "--tol", "inf"],
     ["identity", "--eps", "0.8", "--tol", "inf"],
+    ["solve", "--d", "1e-300"],  # eps = 1/sqrt(D+1) rounds to 1
 ])
 def test_invalid_input_exits_2_and_writes_nothing(argv, out):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_too_small_d_names_d_and_the_limit(capsys):
+    assert cli.main(["solve", "--d", "1e-300"]) == 2
+    assert capsys.readouterr().err == (
+        "error: D must be at least about 3.3e-16, below which eps = 1/sqrt(D+1) "
+        "rounds to 1; got 1e-300\n")
 
 
 def test_invalid_env_max_terms_exits_2(monkeypatch, out):
@@ -83,12 +91,32 @@ def test_unconverged_solve_exits_3_and_writes_the_report(monkeypatch, out):
              + r"\d*" + re.escape(" below 2.000000000025; raising max_terms will not help")),
     ("1e-5", re.escape("MaxTermsExceeded: could not certify the left bracket endpoint within "
                        "max_terms=200000 at D=1e-05; raise max_terms")),
+    # 2(D + 1) overflows here; k = D/(2(D + 1)) is formed without it
+    ("1.7976931348623157e308",
+     re.escape("NoBracket: F(1.2499999999999999e-06) certified below 2.0 at "
+               "D=1.7976931348623157e+308: no sign change on the bracket, contradicting "
+               "the bound that places the root inside")),
 ])
 def test_failed_solve_exits_3_and_names_the_limit(d, reason, out, capsys):
     assert cli.main(["solve", "--d", d, "--out", str(out)]) == 3
     assert re.fullmatch(re.escape(f"numerical failure at D={float(d)}: ") + reason + "\n",
                         capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_non_finite_result_exits_3_and_names_the_quantity(out, capsys):
+    # a * a overflows, and C2, which scales like a^2, is -inf
+    reason = "NonFinite: C2 = -inf is not finite at D=1.0, a=1e+200"
+    assert cli.main(["solve", "--d", "1", "--a", "1e200", "--format", "json",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure at D=1.0: {reason}\n"
+    assert not out.exists()
+    argv = ["sweep", "--d-min", "1", "--d-max", "2", "--points", "2", "--a", "1e200",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 3
+    rows = json.loads(out.read_text())["results"]
+    assert rows[0]["error"] == reason
+    assert rows[1]["error"].startswith("NonFinite: C2 = -inf")
 
 
 def test_identity_at_the_term_cap_exits_3(out):
